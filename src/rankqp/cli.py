@@ -140,10 +140,9 @@ def _cmd_train_svm(args):
               "solve": mdl.solve_report,
               "timing": {"seconds": elapsed}}
     if args.oracle and mdl.spec.kernel == "gaussian":
-        red = svm.reduce_to_qp(spec, eps_factor=1e-10)
         K = kernel.exact_gaussian_kernel(X)
         report["oracle"] = {"note": "exact-kernel objective at trained alpha",
-                            "objective_exact_kernel": _exact_dual_objective(spec, mdl.alpha, K)}
+                            "objective": _exact_dual_objective(spec, mdl.alpha, K)}
     if args.model_out:
         dump_model(mdl, args.model_out)
         report["model_path"] = args.model_out
@@ -179,9 +178,6 @@ def _cmd_factor_kernel(args):
               "prune_slack": fact.prune_slack,
               "rank_bound": kernel.rank_bound(X.shape[1], fact.degree),
               "timing": {"seconds": elapsed}}
-    if args.out:
-        dump_factorization(fact, args.out)
-        report["factorization_path"] = args.out
     _write_report(report, args.report)
     return EXIT_OK
 
@@ -206,101 +202,95 @@ def _cmd_predict(args):
     mdl = load_model(args.model)
     ds = parse_libsvm(args.data)
     X = ds.to_dense()
-    if X.shape[1] < mdl["d"]:
-        pad = np.zeros((X.shape[0], mdl["d"] - X.shape[1]))
-        X = np.hstack([X, pad])
-    elif X.shape[1] > mdl["d"]:
-        X = X[:, : mdl["d"]]
-    dec = _model_decision(mdl, X)
-    labels = np.sign(dec) if mdl["variant"] in ("hard", "c-svc", "nu-svc", "one-class") else dec
+    d = mdl.spec.X.shape[1]
+    if X.shape[1] < d:
+        # LIBSVM omits zero features, so trailing columns may be absent.
+        X = np.hstack([X, np.zeros((X.shape[0], d - X.shape[1]))])
+    dec, labels = svm.predict(mdl, X)
     report = {"schema": SCHEMA, "command": "predict", "seed": args.seed,
               "decision_values": dec, "labels": labels}
-    if ds.y.size and mdl["variant"] in ("hard", "c-svc", "nu-svc"):
+    if ds.y.size and mdl.spec.variant in ("hard", "c-svc", "nu-svc"):
         report["accuracy"] = float(np.mean(np.sign(dec) == ds.y))
     _write_report(report, args.report)
     return EXIT_OK
 
 
-# -- plain-text model / factorization dumps --------------------------------
+# -- plain-text model file ----------------------------------------------------
+#
+# The header line, then one "key value" line each for variant, kernel, C,
+# nu, eps_tube, box_cap and bias, then the arrays X, y (absent for
+# one-class) and alpha, each as a "name shape..." line followed by a line of
+# values.  Floats are written with repr, so a round trip is bit exact.
+
+MODEL_HEADER = "rankqp-svm-model 2"
+_SPEC_FLOATS = ("C", "nu", "eps_tube", "box_cap")
+
 
 def _write_array(fh, name, a):
-    a = np.asarray(a, dtype=float).ravel()
-    fh.write(f"{name} {a.size}\n")
-    fh.write(" ".join(repr(float(v)) for v in a) + "\n")
+    a = np.asarray(a, dtype=float)
+    fh.write(" ".join([name, *map(str, a.shape)]) + "\n")
+    fh.write(" ".join(repr(float(v)) for v in a.ravel()) + "\n")
+
+
+def _read_field(lines, name):
+    parts = lines.pop(0).split()
+    if len(parts) < 2 or parts[0] != name:
+        raise ParseError(f"expected {name}, got {' '.join(parts)!r}")
+    return parts[1:]
 
 
 def _read_array(lines, name):
-    header = lines.pop(0).split()
-    if header[0] != name:
-        raise ParseError(f"expected section {name}, got {header[0]}")
-    count = int(header[1])
+    shape = tuple(int(v) for v in _read_field(lines, name))
     vals = np.array([float(t) for t in lines.pop(0).split()])
-    if vals.size != count:
-        raise ParseError(f"section {name}: expected {count} values, got {vals.size}")
-    return vals
+    if vals.size != int(np.prod(shape)):
+        raise ParseError(f"section {name}: expected {shape} values, got {vals.size}")
+    return vals.reshape(shape)
 
 
 def dump_model(mdl: svm.SvmModel, path):
     spec = mdl.spec
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rankqp-svm-model 1\n")
-        fh.write(f"variant {spec.variant}\n")
-        fh.write(f"kernel {spec.kernel}\n")
-        fh.write(f"n {spec.X.shape[0]} d {spec.X.shape[1]}\n")
-        fh.write(f"bias {repr(float(mdl.bias))}\n")
-        _write_array(fh, "alpha", mdl.alpha)
-        _write_array(fh, "support", mdl.support.astype(float))
-        coef = mdl._coef()
-        _write_array(fh, "coef", coef)
+        fh.write(MODEL_HEADER + "\n")
+        fh.write(f"variant {spec.variant}\nkernel {spec.kernel}\n")
+        for name in _SPEC_FLOATS:
+            value = getattr(spec, name)
+            fh.write(f"{name} {None if value is None else float(value)!r}\n")
+        fh.write(f"bias {float(mdl.bias)!r}\n")
         _write_array(fh, "X", spec.X)
-        if mdl.w is not None:
-            _write_array(fh, "w", mdl.w)
+        if spec.y is not None:
+            _write_array(fh, "y", spec.y)
+        _write_array(fh, "alpha", mdl.alpha)
 
 
 def load_model(path):
+    """Read a model file back into an SvmModel; the spec is validated again."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("rankqp-svm-model"):
-        raise ParseError("not a rankqp model file", line=1)
-    lines.pop(0)
-    meta = {}
-    meta["variant"] = lines.pop(0).split()[1]
-    meta["kernel"] = lines.pop(0).split()[1]
-    nd = lines.pop(0).split()
-    meta["n"], meta["d"] = int(nd[1]), int(nd[3])
-    meta["bias"] = float(lines.pop(0).split()[1])
-    meta["alpha"] = _read_array(lines, "alpha")
-    meta["support"] = _read_array(lines, "support").astype(int)
-    meta["coef"] = _read_array(lines, "coef")
-    meta["X"] = _read_array(lines, "X").reshape(meta["n"], meta["d"])
-    if lines and lines[0].startswith("w "):
-        meta["w"] = _read_array(lines, "w")
-    return meta
-
-
-def _model_decision(meta, Xq):
-    if meta["kernel"] == "linear":
-        cross = meta["X"] @ Xq.T
-    else:
-        d2 = (np.sum(meta["X"]**2, axis=1)[:, None] + np.sum(Xq**2, axis=1)[None, :]
-              - 2.0 * meta["X"] @ Xq.T)
-        cross = np.exp(-np.maximum(d2, 0.0))
-    f_nb = meta["coef"] @ cross
-    if meta["variant"] in ("eps-svr", "nu-svr"):
-        return f_nb + meta["bias"]
-    return f_nb - meta["bias"]
-
-
-def dump_factorization(fact: kernel.KernelFactorization, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rankqp-kernel-factorization 1\n")
-        fh.write(f"degree {fact.degree} rank {fact.rank}\n")
-        fh.write(f"radius {repr(fact.radius)} epsilon {repr(fact.epsilon)}\n")
-        fh.write(f"sup_error {repr(fact.sup_error)} prune_slack {repr(fact.prune_slack)}\n")
-        _write_array(fh, "coeffs", fact.coeffs)
-        _write_array(fh, "shift", fact.shift)
-        _write_array(fh, "U", fact.U)
-        _write_array(fh, "V", fact.V)
+    if not lines or lines.pop(0).strip() != MODEL_HEADER:
+        raise ParseError(f"not a {MODEL_HEADER!r} file", line=1)
+    try:
+        variant = _read_field(lines, "variant")[0]
+        kern = _read_field(lines, "kernel")[0]
+        params = {}
+        for name in _SPEC_FLOATS:
+            text = _read_field(lines, name)[0]
+            params[name] = None if text == "None" else float(text)
+        bias = float(_read_field(lines, "bias")[0])
+        X = _read_array(lines, "X")
+        y = None if variant == "one-class" else _read_array(lines, "y")
+        alpha = _read_array(lines, "alpha")
+    except ParseError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise ParseError(f"malformed model file: {exc}") from None
+    spec = svm.SvmSpec(X=X, y=y, variant=variant, kernel=kern, **params)
+    dim = 2 * X.shape[0] if variant in ("eps-svr", "nu-svr") else X.shape[0]
+    if alpha.shape != (dim,) or not np.all(np.isfinite(alpha)) or not np.isfinite(bias):
+        raise ParseError(f"model needs {dim} finite alpha values and a finite bias")
+    # recover_primal reads the bias as minus the first equality multiplier,
+    # so [-bias] gives back the stored bias along with the derived w.
+    w, bias = svm.recover_primal(alpha, spec, [-bias])
+    return svm.SvmModel(spec=spec, alpha=alpha, bias=bias, w=w)
 
 
 def build_parser():
@@ -339,7 +329,6 @@ def build_parser():
     p = sub.add_parser("factor-kernel", help="low-rank factor a Gaussian kernel")
     p.add_argument("data")
     common(p)
-    p.add_argument("--out", default=None, help="write the factorization dump here")
     p.set_defaults(func=_cmd_factor_kernel)
 
     p = sub.add_parser("verify", help="recompute a report's KKT residuals")

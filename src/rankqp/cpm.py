@@ -15,8 +15,6 @@ from .exactds import ExactDS
 from .exceptions import SolverError
 from .sketch import ApproxDS
 
-_GAMMA_GUARD = 1.0 / 64.0
-
 
 def restart_threshold(n, k, m):
     return max(1, math.ceil(math.sqrt(n / max(k + m, 1))))
@@ -86,7 +84,7 @@ def centering_lowrank(inst: model.QPInstance, x, s, t_start, t_end,
             raise SolverError(f"centering exceeded {params.max_iter} iterations")
         guard = cpm.gamma_guard()
         if params.mode == "practical":
-            if guard > _GAMMA_GUARD:
+            if guard > ipm._GAMMA_GUARD:
                 h = max(0.5 * h, params.h)
             else:
                 h = min(1.1 * h, params.h0)

@@ -140,7 +140,6 @@ def central_path_step(inst: model.QPInstance, x_bar, s_bar, t_bar, delta_mu,
     never forms an n x n matrix.
     """
     hw = inst.w * barrier.hess_vec(inst.lo, inst.hi, x_bar)
-    m = inst.m
     if backend == "dense":
         B = inst.q_dense() + t_bar * np.diag(hw)
         try:
@@ -148,33 +147,23 @@ def central_path_step(inst: model.QPInstance, x_bar, s_bar, t_bar, delta_mu,
             binv = lambda v: scipy.linalg.cho_solve(cho, v)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
             binv = lambda v: scipy.linalg.solve(B, v)
-        z = binv(delta_mu)
-        if m:
-            BiAt = binv(inst.A.T)
-            G = inst.A @ BiAt
-            xi = _solve_normal(G, inst.A @ z, "central_path_step")
-            dx = t_bar * (z - BiAt @ xi)
-        else:
-            xi = np.zeros(0)
-            dx = t_bar * z
     elif backend == "lowrank":
         from .exactds import woodbury_apply
         if inst.U is None:
-            U = np.zeros((inst.n, 0))
-            V = np.zeros((inst.n, 0))
+            U = V = np.zeros((inst.n, 0))
         else:
             U, V = inst.U, inst.V
-        z = woodbury_apply(hw, U, V, t_bar, delta_mu)
-        if m:
-            BiAt = woodbury_apply(hw, U, V, t_bar, inst.A.T)
-            G = inst.A @ BiAt
-            xi = _solve_normal(G, inst.A @ z, "central_path_step")
-            dx = t_bar * (z - BiAt @ xi)
-        else:
-            xi = np.zeros(0)
-            dx = t_bar * z
+        binv = lambda v: woodbury_apply(hw, U, V, t_bar, v)
     else:
         raise ValidationError(f"unknown backend {backend!r}")
+    z = binv(delta_mu)
+    if inst.m:
+        BiAt = binv(inst.A.T)
+        xi = _solve_normal(inst.A @ BiAt, inst.A @ z, "central_path_step")
+        dx = t_bar * (z - BiAt @ xi)
+    else:
+        xi = np.zeros(0)
+        dx = t_bar * z
     ds = t_bar * (delta_mu - hw * dx)
     dy = t_bar * xi
     return dx, ds, dy

@@ -119,6 +119,19 @@ def build_qp_instance(c, A, b, blocks, weights=None, R=None, r=None, L=None,
             raise ValidationError(f"factor shapes {U.shape}, {V.shape} do not match n={n}")
     if Q is not None:
         Q = np.asarray(Q, dtype=float)
+    if weights is None:
+        weights = np.ones(n)
+    weights = np.atleast_1d(np.asarray(weights, dtype=float))
+    # Infinite box bounds are legal; every other number must be finite.
+    for name, arr in (("c", c), ("A", A), ("b", b), ("U", U), ("V", V), ("Q", Q),
+                      ("weights", weights)):
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} has non-finite entries")
+    if weights.shape[0] != n:
+        raise ValidationError(f"{weights.shape[0]} weights for {n} blocks")
+    if np.any(weights < 1.0):
+        raise ValidationError("all weights must be >= 1")
+    if Q is not None:
         if Q.shape != (n, n):
             raise ValidationError(f"dense Q has shape {Q.shape}, expected ({n}, {n})")
         scale = max(1.0, float(np.abs(Q).max()))
@@ -128,14 +141,6 @@ def build_qp_instance(c, A, b, blocks, weights=None, R=None, r=None, L=None,
             lam_min = float(np.linalg.eigvalsh(Q)[0])
             if lam_min < -1e-8 * scale:
                 raise ValidationError(f"dense Q is not PSD (min eigenvalue {lam_min:g})")
-
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    if weights.shape[0] != n:
-        raise ValidationError(f"{weights.shape[0]} weights for {n} blocks")
-    if np.any(weights < 1.0):
-        raise ValidationError("all weights must be >= 1")
 
     lo, hi, nu = barrier.pack_bounds(blocks)
     if R is None:

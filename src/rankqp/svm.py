@@ -19,7 +19,6 @@ from .exceptions import ValidationError
 VARIANTS = ("hard", "c-svc", "nu-svc", "one-class", "eps-svr", "nu-svr")
 _CLASSIFICATION = ("hard", "c-svc", "nu-svc")
 _SUPPORT_REL = 1e-5
-_INTERIOR_BAND_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,10 @@ class SvmSpec:
         object.__setattr__(self, "X", np.atleast_2d(np.asarray(self.X, dtype=float)))
         if self.y is not None:
             object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        if not np.all(np.isfinite(self.X)):
+            raise ValidationError("X has non-finite entries")
+        if self.y is not None and not np.all(np.isfinite(self.y)):
+            raise ValidationError("y has non-finite entries")
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
         if self.kernel not in ("linear", "gaussian"):
@@ -148,81 +151,46 @@ class SvmModel:
     spec: SvmSpec
     alpha: np.ndarray
     bias: float
-    support: np.ndarray            # indices of training points with active alpha
     w: np.ndarray = None           # primal normal vector, linear kernel only
     factorization: object = None
     dual_objective: float = 0.0
     solve_report: dict = field(default_factory=dict)
 
-    # coefficient on K(x_j, .) in the decision function
-    def _coef(self):
-        n = self.spec.X.shape[0]
-        if self.spec.variant in _CLASSIFICATION:
-            return self.alpha * self.spec.y
-        if self.spec.variant == "one-class":
-            return self.alpha
-        return -(self.alpha[:n] - self.alpha[n:])
+    @property
+    def support(self):
+        """Indices of the dual coordinates with active alpha."""
+        return np.nonzero(self.alpha > _SUPPORT_REL * float(np.max(self.alpha, initial=1.0)))[0]
 
 
-def _kernel_cross(spec, fact, Xq, exact=False):
-    """K(train, query): exact for linear, through the factors for gaussian
-    unless exact is forced or no factorization is available."""
-    Xq = np.atleast_2d(Xq)
+def _dual_coef(spec, alpha):
+    """Coefficient on K(x_j, .) in the decision function."""
+    n = spec.X.shape[0]
+    if spec.variant in _CLASSIFICATION:
+        return alpha * spec.y
+    if spec.variant == "one-class":
+        return alpha
+    return -(alpha[:n] - alpha[n:])
+
+
+def _kernel_cross(spec, Xq):
+    """Exact K(train, query)."""
     if spec.kernel == "linear":
         return spec.X @ Xq.T
-    if exact or fact is None:
-        d2 = (np.sum(spec.X**2, axis=1)[:, None] + np.sum(Xq**2, axis=1)[None, :]
-              - 2.0 * spec.X @ Xq.T)
-        return np.exp(-np.maximum(d2, 0.0))
-    feat = kernel.feature_map(fact, Xq, side="v")
-    return fact.U @ feat.T
+    d2 = (np.sum(spec.X**2, axis=1)[:, None] + np.sum(Xq**2, axis=1)[None, :]
+          - 2.0 * spec.X @ Xq.T)
+    return np.exp(-np.maximum(d2, 0.0))
 
 
-def _band_average(values, alpha, cap):
-    """Average over the interior band [tau, cap - tau] weighted by how far
-    each coordinate sits from its bounds, so near-active coordinates (which
-    an interior point method never places exactly on a face) barely count."""
-    tau = _INTERIOR_BAND_REL * cap
-    interior = (alpha > tau) & (alpha < cap - tau)
-    if not interior.any():
-        raise ValidationError("degenerate model: no interior support vectors")
-    weight = np.minimum(alpha[interior], cap - alpha[interior])
-    return float(np.average(values[interior], weights=weight))
+def recover_primal(alpha, spec: SvmSpec, y_eq):
+    """Primal normal vector (linear kernel only) and bias.
 
-
-def recover_primal(alpha, spec: SvmSpec, fact=None, exact_kernel=False):
-    """Primal weight vector (linear kernel) and bias from interior supports."""
-    n = spec.X.shape[0]
-    alpha = np.asarray(alpha, dtype=float)
-    if spec.variant in _CLASSIFICATION:
-        coef = alpha * spec.y
-        w = spec.X.T @ coef if spec.kernel == "linear" else None
-        if spec.variant == "hard":
-            # No meaningful upper cap: every markedly positive alpha sits on
-            # the margin.
-            interior = alpha > _SUPPORT_REL * float(np.max(alpha, initial=0.0))
-            if not interior.any():
-                raise ValidationError("degenerate model: no interior support vectors")
-            f_nb = coef @ _kernel_cross(spec, fact, spec.X[interior], exact=exact_kernel)
-            return w, float(np.mean(f_nb - spec.y[interior]))
-        cap = spec.C if spec.variant == "c-svc" else 1.0 / n
-        f_nb = coef @ _kernel_cross(spec, fact, spec.X, exact=exact_kernel)
-        return w, _band_average(f_nb - spec.y, alpha, cap)
-    if spec.variant == "one-class":
-        f_nb = alpha @ _kernel_cross(spec, fact, spec.X, exact=exact_kernel)
-        rho = _band_average(f_nb, alpha, 1.0 / n)
-        w = spec.X.T @ alpha if spec.kernel == "linear" else None
-        return w, rho
-    # Regression: f(x) = -sum_j beta_j K(x_j, x) + b with beta = alpha - alpha*.
-    # Interior alpha_i sits on f = y + eps_tube, interior alpha*_i on f = y - eps_tube.
-    cap = spec.C if spec.variant == "eps-svr" else spec.C / n
-    beta = alpha[:n] - alpha[n:]
-    eps_t = spec.eps_tube if spec.variant == "eps-svr" else 0.0
-    kb = beta @ _kernel_cross(spec, fact, spec.X, exact=exact_kernel)
-    stacked = np.concatenate([spec.y + eps_t + kb, spec.y - eps_t + kb])
-    b = _band_average(stacked, alpha, cap)
-    w = -(spec.X.T @ beta) if spec.kernel == "linear" else None
-    return w, b
+    Every dual puts the bias row first (y'a = 0, 1'a = nu or the stacked
+    regression balance), so the bias is minus that row's multiplier; unlike
+    an average over interior supports it exists when every alpha sits on a
+    bound.
+    """
+    w = spec.X.T @ _dual_coef(spec, alpha) if spec.kernel == "linear" else None
+    return w, -float(y_eq[0])
 
 
 def train(spec: SvmSpec, eps_solve=1e-4, mode="practical", backend="auto", seed=0):
@@ -243,11 +211,7 @@ def train(spec: SvmSpec, eps_solve=1e-4, mode="practical", backend="auto", seed=
     dual_obj = inst.objective(alpha)
     if red.maximization:
         dual_obj = -dual_obj
-    w, b_avg = recover_primal(alpha, spec, fact=red.factorization)
-    # The equality-row multiplier recovers the bias at solver precision;
-    # the interior average is the fallback when no row is present.
-    b = -float(sol.y[0]) if inst.m else b_avg
-    support = np.nonzero(alpha > _SUPPORT_REL * float(np.max(alpha, initial=1.0)))[0]
+    w, b = recover_primal(alpha, spec, sol.y)
     from . import oracle
     kkt = oracle.kkt_residuals(inst, alpha, sol.s, sol.y)
     report = dict(sol.report)
@@ -258,7 +222,7 @@ def train(spec: SvmSpec, eps_solve=1e-4, mode="practical", backend="auto", seed=
                    "kkt": {"stationarity": kkt.stationarity,
                            "primal_residual_l1": kkt.primal_residual_l1,
                            "duality_gap": kkt.duality_gap}})
-    return SvmModel(spec=spec, alpha=alpha, bias=b, support=support, w=w,
+    return SvmModel(spec=spec, alpha=alpha, bias=b, w=w,
                     factorization=red.factorization, dual_objective=dual_obj,
                     solve_report=report)
 
@@ -277,19 +241,19 @@ def _outer_radius_estimate(spec):
     return cap * math.sqrt(dim)
 
 
-def predict(mdl: SvmModel, Xq, exact_kernel=False):
+def predict(mdl: SvmModel, Xq):
     """Decision values and labels for query points.
 
+    The decision evaluates the exact kernel against the training rows, so
+    Gaussian predictions carry no factorization error at any query.
     Classification and one-class return sign labels; regression returns the
-    fitted values as labels.  Gaussian decisions go through the low-rank
-    factors unless exact_kernel is set.
+    fitted values as labels.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     if Xq.shape[1] != mdl.spec.X.shape[1]:
         raise ValidationError(
             f"query dimension {Xq.shape[1]} != training dimension {mdl.spec.X.shape[1]}")
-    coef = mdl._coef()
-    f_nb = coef @ _kernel_cross(mdl.spec, mdl.factorization, Xq, exact=exact_kernel)
+    f_nb = _dual_coef(mdl.spec, mdl.alpha) @ _kernel_cross(mdl.spec, Xq)
     if mdl.spec.variant in _CLASSIFICATION or mdl.spec.variant == "one-class":
         dec = f_nb - mdl.bias
         return dec, np.sign(dec)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rankqp.cli import cli_run
+from rankqp import svm
+from rankqp.cli import cli_run, dump_model
 from rankqp.libsvm_io import Dataset, emit_libsvm
 
 
@@ -88,14 +89,12 @@ def test_solve_qp_and_verify(qp_instance_file, tmp_path):
 
 def test_factor_kernel_report(two_point_data, tmp_path):
     report = tmp_path / "factor.json"
-    out = tmp_path / "factor.txt"
     code = cli_run(["factor-kernel", two_point_data, "--epsilon", "1e-6",
-                    "--report", str(report), "--out", str(out)])
+                    "--report", str(report)])
     assert code == 0
     rep = _load(report)
     assert rep["certified_sup_error"] <= 0.5e-6
     assert rep["rank"] <= rep["rank_bound"]
-    assert out.exists()
 
 
 def test_report_determinism(two_point_data, tmp_path):
@@ -132,3 +131,61 @@ def test_infeasible_nu_exits_2(tmp_path):
     emit_libsvm(Dataset.from_dense(X, y), path)
     assert cli_run(["train-svm", str(path), "--variant", "nu-svc",
                     "--nu", "0.9"]) == 2
+
+
+def test_non_finite_data_exits_2(tmp_path):
+    path = tmp_path / "nan.svm"
+    path.write_text("1 1:nan\n-1 1:1\n")
+    assert cli_run(["train-svm", str(path)]) == 2
+
+
+def test_cli_predict_matches_library(tmp_path):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(12, 2))
+    sign = np.where(X[:, 0] >= 0, 1.0, -1.0)
+    X[:, 0] += 0.5 * sign
+    specs = [svm.SvmSpec(X=X, y=sign, variant="hard"),
+             svm.SvmSpec(X=X, y=sign, variant="c-svc", kernel="gaussian", C=2.0),
+             svm.SvmSpec(X=X, y=X @ [0.5, -0.2], variant="eps-svr", C=5.0),
+             svm.SvmSpec(X=X, variant="one-class", kernel="gaussian", nu=0.3)]
+    Xq = rng.normal(size=(7, 2))
+    data = tmp_path / "query.svm"
+    emit_libsvm(Dataset.from_dense(Xq, np.ones(7)), data)
+    for i, spec in enumerate(specs):
+        mdl = svm.train(spec, eps_solve=1e-3)
+        model = tmp_path / f"model{i}.txt"
+        dump_model(mdl, model)
+        report = tmp_path / f"pred{i}.json"
+        assert cli_run(["predict", str(data), "--model", str(model),
+                        "--report", str(report)]) == 0
+        dec, labels = svm.predict(mdl, Xq)
+        rep = _load(report)
+        assert np.array_equal(rep["decision_values"], dec), spec.variant
+        assert np.array_equal(rep["labels"], labels), spec.variant
+
+
+@pytest.fixture
+def gaussian_model(two_point_data, tmp_path):
+    model = tmp_path / "model.txt"
+    assert cli_run(["train-svm", two_point_data, "--kernel", "gaussian",
+                    "--C", "5", "--model-out", str(model)]) == 0
+    return model
+
+
+def test_predict_feature_width(gaussian_model, tmp_path):
+    wide = tmp_path / "wide.svm"
+    wide.write_text("1 1:1 3:5\n")
+    assert cli_run(["predict", str(wide), "--model", str(gaussian_model)]) == 2
+    narrow = tmp_path / "narrow.svm"
+    narrow.write_text("1 1:1\n-1 1:-1\n")  # trailing zero feature omitted
+    report = tmp_path / "pred.json"
+    assert cli_run(["predict", str(narrow), "--model", str(gaussian_model),
+                    "--report", str(report)]) == 0
+    assert _load(report)["labels"] == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("header", ["rankqp-svm-model 1", "garbage"])
+def test_model_header_rejected(gaussian_model, two_point_data, header):
+    lines = gaussian_model.read_text().splitlines()
+    gaussian_model.write_text("\n".join([header] + lines[1:]) + "\n")
+    assert cli_run(["predict", two_point_data, "--model", str(gaussian_model)]) == 2

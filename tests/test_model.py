@@ -4,6 +4,7 @@ import pytest
 from rankqp import barrier, build_qp_instance, ipm, model
 from rankqp.barrier import BlockDomain
 from rankqp.exceptions import ValidationError
+from rankqp.svm import SvmSpec
 
 from conftest import random_lowrank_instance
 
@@ -132,3 +133,26 @@ def test_restrict_after_solve_feasibility(rng):
     bound = 3 * eps * (inst.R * np.abs(inst.A).sum() + np.abs(inst.b).sum())
     assert sol.report["primal_residual_l1"] <= bound
     assert sol.report["tau"] <= 3 * eps
+
+
+_FINITE_DATA = dict(c=[1.0, -1.0], A=[[1.0, 1.0]], b=[1.0], U=[[1.0], [0.5]],
+                    V=[[1.0], [0.5]], weights=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("field", ["c", "A", "b", "U", "V", "Q", "weights", "X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_rejected(field, bad):
+    if field in ("X", "y"):
+        build, data = SvmSpec, dict(X=[[1.0, 0.0], [-1.0, 0.0]], y=[1.0, -1.0])
+    else:
+        build = build_qp_instance
+        data = dict(_FINITE_DATA, blocks=[BlockDomain.half_line()] * 2)
+        if field == "Q":
+            del data["U"], data["V"]
+            data["Q"] = np.eye(2)
+    build(**data)  # finite data with infinite box bounds is accepted
+    arr = np.array(data[field], dtype=float)
+    arr.flat[0] = bad
+    data[field] = arr
+    with pytest.raises(ValidationError):
+        build(**data)
