@@ -58,13 +58,21 @@ def _write_report(report, path):
         print(text)
 
 
+def _bound(block, i, key):
+    value = block[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"block {i} bound {key} is {value!r}, not a number")
+    return value
+
+
 def load_instance_json(path):
     """Instance file: JSON object with c, A, b, blocks [{lo, hi}...] and
     optional weights, R, r, L, and either U and V or Q."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        blocks = [barrier.BlockDomain.box(blk["lo"], blk["hi"]) for blk in data["blocks"]]
+        blocks = [barrier.BlockDomain.box(_bound(blk, i, "lo"), _bound(blk, i, "hi"))
+                  for i, blk in enumerate(data["blocks"])]
         return model.build_qp_instance(
             c=data["c"], A=data.get("A"), b=data.get("b", []), blocks=blocks,
             weights=data.get("weights"), R=data.get("R"), r=data.get("r"),

@@ -96,5 +96,4 @@ def centering_lowrank(inst: model.QPInstance, x, s, t_start, t_end,
         it += 1
     x_out, s_out = cpm.output()
     barrier.check_interior(inst.lo, inst.hi, x_out)
-    return ipm.CenteringResult(x=x_out, s=s_out, y=y, t=t, iterations=it,
-                               trace=trace)
+    return ipm.CenteringResult(x=x_out, s=s_out, y=y, iterations=it, trace=trace)

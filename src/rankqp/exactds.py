@@ -14,6 +14,7 @@ of the stored vectors plus the k/m-sized summaries u1..u6.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,28 +26,40 @@ from .exceptions import SolverError
 _Z_CLAMP = 350.0  # keep cosh^2 finite; valid runs stay far below this
 
 
-def woodbury_apply(h_diag, U, V, t, rhs):
-    """Apply (UV' + tH)^{-1} to rhs for diagonal positive H, without forming B.
+def woodbury_factor(h_diag, U, V, t):
+    """Factor B = UV' + tH once, for diagonal positive H; returns rhs -> B^{-1} rhs.
 
-    (UV' + tH)^{-1} = t^{-1}H^{-1} - t^{-2}H^{-1}U (I + t^{-1}V'H^{-1}U)^{-1} V'H^{-1}.
-    rhs may be a vector or a matrix of columns.
+    (UV' + tH)^{-1} = t^{-1}H^{-1} - t^{-2}H^{-1}U (I + t^{-1}V'H^{-1}U)^{-1} V'H^{-1},
+    so one LU of the k x k capacitance serves every right-hand side, and no
+    n x n matrix is formed.  rhs may be a vector or a matrix of columns.
     """
-    h_diag = np.asarray(h_diag, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    scale = 1.0 / (t * h_diag)
-    base = scale[:, None] * rhs if rhs.ndim == 2 else scale * rhs
+    scale = 1.0 / (t * np.asarray(h_diag, dtype=float))
+
+    def scaled(rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        return scale[:, None] * rhs if rhs.ndim == 2 else scale * rhs
+
     if U is None or U.size == 0:
-        return base
+        return scaled
     HiU = scale[:, None] * U
-    cap = np.eye(U.shape[1]) + V.T @ HiU
-    try:
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(np.eye(U.shape[1]) + V.T @ HiU)
+
+    def apply(rhs):
+        base = scaled(rhs)
         with np.errstate(all="ignore"):
-            sol = scipy.linalg.solve(cap, V.T @ base)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SolverError("singular Woodbury capacitance matrix") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SolverError("singular Woodbury capacitance matrix")
-    return base - HiU @ sol
+            sol = scipy.linalg.lu_solve(lu, V.T @ base)
+        if not np.all(np.isfinite(sol)):
+            raise SolverError("singular Woodbury capacitance matrix")
+        return base - HiU @ sol
+
+    return apply
+
+
+def woodbury_apply(h_diag, U, V, t, rhs):
+    """Apply (UV' + tH)^{-1} to rhs for diagonal positive H, without forming B."""
+    return woodbury_factor(h_diag, U, V, t)(rhs)
 
 
 @dataclass

@@ -1,13 +1,20 @@
-"""Robust interior point driver for the generic QP form.
+"""Interior point solvers for the generic QP form
 
-The central path for  min 1/2 x'Qx + c'x, Ax = b, x in K  is
+    min 1/2 x'Qx + c'x   s.t.  Ax = b,  x in K,
 
-    s/t + grad phi_w(x) = mu,   Ax = b,   -Qx + A'y + s = c,
+with multipliers in the convention Qx + c + A'y = s.
 
-followed from t = 1 down to t_end with a soft-max potential over the
-per-block error norms gamma_i = ||mu_i||*_{x_i}.  The dense backend
-recomputes the approximation pair (xbar, sbar) = (x, s) exactly every
-iteration; the lowrank backend delegates maintenance to ``cpm``.
+Practical mode runs a Mehrotra predictor-corrector on the bound multipliers
+s = zl - zu and stops on the measured duality gap (``predictor_corrector``).
+Theory mode follows the robust central path
+
+    s/t + grad phi_w(x) = mu,   Ax = b,   Qx + c + A'y = s,
+
+from t = 1 down to t_end with a soft-max potential over the per-block error
+norms gamma_i = ||mu_i||*_{x_i} (``centering``).  Both take the dense or the
+Woodbury step, which recompute everything exactly every iteration; the
+lowrank backend follows the path with ExactDS + sketch maintenance (``cpm``)
+in either mode.
 """
 from __future__ import annotations
 
@@ -17,12 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import barrier, model
+from . import barrier, exactds, model, oracle
 from .exceptions import InvariantViolation, SolverError, ValidationError
 
-# Practical-mode safeguard: keep every gamma_i / w_i at or below this level
-# (the bound the approximate-optimality argument needs is 1, with margin).
+# Practical-mode safeguard of the maintained path (``cpm``): keep every
+# gamma_i / w_i at or below this level (the bound the approximate-optimality
+# argument needs is 1, with margin).
 _GAMMA_GUARD = 1.0 / 64.0
+
+# Iteration cap of the practical predictor-corrector.
+_PC_MAX_ITER = 200
 
 
 @dataclass
@@ -50,10 +61,10 @@ class IpmParams:
         if mode == "theory":
             lam, eps_bar, alpha, h0 = lam_theory, eps_bar_theory, alpha_theory, h_theory
         else:
-            # Practical mode: damped Newton centering with the direction norm
-            # capped at 0.25 instead of the 1/(8 lam) proof constant, which
-            # limits progress to ~alpha/sqrt(kappa) per step and is orders of
-            # magnitude too slow at any usable size.
+            # Practical mode on the maintained path: damped Newton centering
+            # with the direction norm capped at 0.25 instead of the 1/(8 lam)
+            # proof constant, which limits progress to ~alpha/sqrt(kappa) per
+            # step and is orders of magnitude too slow at any usable size.
             lam = 16.0 * math.log(16.0 * n)
             alpha = 0.25
             eps_bar = 1.0 / (4.0 * lam)
@@ -128,6 +139,28 @@ def _solve_normal(G, rhs, context):
         raise SolverError(f"{context}: normal matrix numerically singular") from exc
 
 
+def factor_step_matrix(inst: model.QPInstance, d, backend="dense"):
+    """Factor B = Q + diag(d) once; returns rhs -> B^-1 rhs (vector or columns).
+
+    "dense" forms B and takes its Cholesky factor (LU if B is not numerically
+    positive definite); "woodbury" keeps Q = UV' factored and applies B^-1
+    through the k x k capacitance, never forming an n x n matrix.
+    """
+    if backend == "dense":
+        B = inst.q_dense() + np.diag(d)
+        try:
+            cho = scipy.linalg.cho_factor(B)
+            return lambda v: scipy.linalg.cho_solve(cho, v)
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+            lu = scipy.linalg.lu_factor(B)
+            return lambda v: scipy.linalg.lu_solve(lu, v)
+    if backend == "woodbury":
+        if inst.Q is not None:
+            raise ValidationError("the woodbury step needs a factored Q = UV'")
+        return exactds.woodbury_factor(d, inst.U, inst.V, 1.0)
+    raise ValidationError(f"unknown backend {backend!r}")
+
+
 def central_path_step(inst: model.QPInstance, x_bar, s_bar, t_bar, delta_mu,
                       backend="dense"):
     """One robust central path step (delta_x, delta_s, delta_y).
@@ -136,26 +169,9 @@ def central_path_step(inst: model.QPInstance, x_bar, s_bar, t_bar, delta_mu,
         delta_x = t (B^-1 - B^-1 A'(A B^-1 A')^-1 A B^-1) delta_mu
         delta_s = t (delta_mu - H delta_x)
         delta_y solves  delta_s - Q delta_x - A' delta_y = 0.
-    The lowrank backend applies B^-1 through the Woodbury identity and
-    never forms an n x n matrix.
     """
     hw = inst.w * barrier.hess_vec(inst.lo, inst.hi, x_bar)
-    if backend == "dense":
-        B = inst.q_dense() + t_bar * np.diag(hw)
-        try:
-            cho = scipy.linalg.cho_factor(B)
-            binv = lambda v: scipy.linalg.cho_solve(cho, v)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-            binv = lambda v: scipy.linalg.solve(B, v)
-    elif backend == "lowrank":
-        from .exactds import woodbury_apply
-        if inst.U is None:
-            U = V = np.zeros((inst.n, 0))
-        else:
-            U, V = inst.U, inst.V
-        binv = lambda v: woodbury_apply(hw, U, V, t_bar, v)
-    else:
-        raise ValidationError(f"unknown backend {backend!r}")
+    binv = factor_step_matrix(inst, t_bar * hw, backend)
     z = binv(delta_mu)
     if inst.m:
         BiAt = binv(inst.A.T)
@@ -174,60 +190,43 @@ class CenteringResult:
     x: np.ndarray
     s: np.ndarray
     y: np.ndarray
-    t: float
     iterations: int
     trace: list = field(default_factory=list)
 
 
 def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
               backend="dense", collect_trace=False):
-    """Follow the central path from t_start down to t_end.
+    """Follow the central path from t_start down to t_end in theory mode.
 
-    Theory mode enforces the potential invariant Phi <= cosh(lam/64) and
-    uses the fixed theory step size.  Practical mode starts from a larger
-    step and halves it whenever any gamma_i/w_i leaves the 1/64 band,
-    restoring multiplicatively on quiet iterations.
+    Enforces the potential invariant Phi <= cosh(lam/64) and takes the
+    fixed theory step size.  Practical mode does not follow this path; it
+    runs ``predictor_corrector``.
     """
+    if params.mode != "theory":
+        raise ValidationError("centering runs theory mode only")
     if not 0 < t_end <= t_start:
         raise ValidationError("need 0 < t_end <= t_start")
     x = np.array(x, dtype=float)
     s = np.array(s, dtype=float)
     y = np.zeros(inst.m)
     t = t_bar = float(t_start)
-    h = params.h if params.mode == "theory" else params.h0
+    h = params.h
     phi_cap = log_cosh(params.lam / 64.0)
     trace = []
     it = 0
     while t > t_end:
         if it >= params.max_iter:
             raise SolverError(f"centering exceeded {params.max_iter} iterations")
-        if params.mode == "practical":
-            # Decrement first so the Newton correction absorbs the drift
-            # caused by the t move within the same iteration.
-            _, gamma_pre = compute_error_terms(inst, x, s, t_bar)
-            guard = float(np.max(gamma_pre / inst.w))
-            if guard > _GAMMA_GUARD:
-                h = max(0.5 * h, params.h)
-            else:
-                h = min(1.1 * h, params.h0)
-            t = max((1.0 - h) * t, t_end)
+        if abs(t_bar - t) > params.eps_t * t_bar:
             t_bar = t
-            mu, gamma = compute_error_terms(inst, x, s, t_bar)
-            phi = potential(gamma, params.lam, inst.w)
-            mu_norm = math.sqrt(float(np.sum(gamma * gamma / inst.w)))
-            theta = min(1.0, params.alpha / mu_norm) if mu_norm > 0 else 1.0
-            delta_mu = -theta * mu
-        else:
-            if abs(t_bar - t) > params.eps_t * t_bar:
-                t_bar = t
-            mu, gamma = compute_error_terms(inst, x, s, t_bar)
-            guard = float(np.max(gamma / inst.w))
-            phi = potential(gamma, params.lam, inst.w)
-            if math.log(phi) > phi_cap + 1e-9:
-                raise InvariantViolation(
-                    f"potential {phi:g} exceeds cosh(lam/64) at iteration {it}")
-            delta_mu = step_direction(mu, gamma, params, inst.w)
-            t = max((1.0 - h) * t, t_end)
+        mu, gamma = compute_error_terms(inst, x, s, t_bar)
+        guard = float(np.max(gamma / inst.w))
+        phi = potential(gamma, params.lam, inst.w)
+        if math.log(phi) > phi_cap + 1e-9:
+            raise InvariantViolation(
+                f"potential {phi:g} exceeds cosh(lam/64) at iteration {it}")
+        delta_mu = step_direction(mu, gamma, params, inst.w)
+        t = max((1.0 - h) * t, t_end)
         dx, ds, dy = central_path_step(inst, x, s, t_bar, delta_mu, backend=backend)
         if collect_trace:
             metric = barrier.metric_at(inst.lo, inst.hi, inst.w, x)
@@ -248,7 +247,88 @@ def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
         s += ds
         y += dy
         it += 1
-    return CenteringResult(x=x, s=s, y=y, t=t, iterations=it, trace=trace)
+    return CenteringResult(x=x, s=s, y=y, iterations=it, trace=trace)
+
+
+def predictor_corrector(inst: model.QPInstance, x, s, gap_target, backend="dense",
+                        max_iter=_PC_MAX_ITER):
+    """Mehrotra predictor-corrector from the interior point (x, s, y = 0).
+
+    Splits s into bound multipliers s = zl - zu (zu only on blocks with an
+    upper bound) and solves, with gl = x - lo and gu = hi - x,
+
+        Qx + c + A'y = zl - zu,   Ax = b,   gl zl = gu zu = sigma mu,
+
+    by Newton steps.  Each iteration factors B = Q + zl/gl + zu/gu once;
+    the predictor (sigma = 0) and the corrector (sigma = (mu_aff/mu)^3
+    plus the second-order term) share that factor, and both parts take one
+    common step, 99% of the way to the boundary.  The Newton right-hand
+    side carries the measured residuals, so rounding never accumulates.
+    Stops once ``oracle.duality_gap`` of (x, zl - zu) is at most gap_target.
+    """
+    lo, hi = inst.lo, inst.hi
+    up = np.flatnonzero(np.isfinite(hi))
+    x = np.array(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    y = np.zeros(inst.m)
+    barrier.check_interior(lo, hi, x)
+    # Start every complementarity product at 1, with zl - zu = s.
+    zl = 1.0 / (x - lo) + np.maximum(s, 0.0)
+    zu = 1.0 / (hi[up] - x[up]) + np.maximum(-s[up], 0.0)
+    half = np.setdiff1d(np.arange(inst.n), up)
+    zl[half] = np.maximum(s[half], 1.0 / (x[half] - lo[half]))
+    n_pairs = inst.n + up.size
+    At = inst.A.T
+    # The dense step forms Q = UV' anyway; multiplying by it beats UV'x when k > n.
+    q_matvec = inst.q_dense().dot if backend == "dense" else inst.q_matvec
+    it = 0
+    while True:
+        gl = x - lo
+        gu = hi[up] - x[up]
+        s = zl.copy()
+        s[up] -= zu
+        if oracle.duality_gap(inst, x, s) <= gap_target:
+            return CenteringResult(x=x, s=s, y=y, iterations=it)
+        if it >= max_iter:
+            raise SolverError(f"predictor-corrector exceeded {max_iter} iterations")
+        r_p = inst.b - inst.A @ x
+        r_d = s - q_matvec(x) - inst.c - At @ y
+        d = zl / gl
+        d[up] += zu / gu
+        binv = factor_step_matrix(inst, d, backend)
+        BiAt = binv(At) if inst.m else None
+        S = inst.A @ BiAt if inst.m else None
+
+        def newton(rl, ru):
+            g = r_d + rl / gl
+            g[up] -= ru / gu
+            z = binv(g)
+            if inst.m:
+                dy = _solve_normal(S, inst.A @ z - r_p, "predictor_corrector")
+                dx = z - BiAt @ dy
+            else:
+                dy = np.zeros(0)
+                dx = z
+            return dx, dy, (rl - zl * dx) / gl, (ru + zu * dx[up]) / gu
+
+        # Every gap and multiplier must stay positive.
+        v = np.concatenate([gl, gu, zl, zu])
+        mu = (gl @ zl + gu @ zu) / n_pairs
+        dx, _, dzl, dzu = newton(-gl * zl, -gu * zu)
+        a = min(1.0, oracle.max_step(v, np.concatenate([dx, -dx[up], dzl, dzu])))
+        mu_aff = ((gl + a * dx) @ (zl + a * dzl)
+                  + (gu - a * dx[up]) @ (zu + a * dzu)) / n_pairs
+        sigma = (mu_aff / mu) ** 3
+        dx, dy, dzl, dzu = newton(sigma * mu - gl * zl - dx * dzl,
+                                  sigma * mu - gu * zu + dx[up] * dzu)
+        a = oracle.boundary_step(v, np.concatenate([dx, -dx[up], dzl, dzu]))
+        if not a > 0 or not np.all(np.isfinite(dx)):
+            raise SolverError(f"predictor-corrector stalled at iteration {it}")
+        x += a * dx
+        y += a * dy
+        zl += a * dzl
+        zu += a * dzu
+        it += 1
 
 
 @dataclass
@@ -263,44 +343,50 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
           seed=0, max_iter=None):
     """Solve the instance to additive objective error eps * L * R(R+1).
 
-    Augments for the initial point, centers from t = 1 to t = eps^2/(4 kappa),
-    and restricts.  backend "auto" picks the lowrank maintenance path when
-    the factorization is thin enough to pay off, dense otherwise.
+    Augments for the initial point and restricts the result.  Practical
+    mode runs ``predictor_corrector`` until the measured duality gap, in
+    the original objective's units, is at most that budget.  Theory mode
+    centers from t = 1 to t = eps^2/(4 kappa) under the potential
+    invariant; backend "lowrank" follows the same schedule through
+    ExactDS + sketch maintenance (``cpm``).  backend "auto" takes the
+    Woodbury step when Q = UV' is thin (4(k + m) <= n), dense otherwise.
+    The returned multipliers satisfy Qx + c + A'y = s.
     """
     if not 0 < eps <= 0.5:
         raise ValidationError(f"eps must be in (0, 1/2], got {eps}")
+    if backend not in ("auto", "dense", "woodbury", "lowrank"):
+        raise ValidationError(f"unknown backend {backend!r}")
     aug, x0, s0 = model.augment_for_initial_point(inst, eps)
     base = aug.base
     params = IpmParams.for_instance(base, mode=mode, max_iter=max_iter)
-    t_end = eps * eps / (4.0 * base.kappa)
+    scale = aug.epsilon * aug.rho
+    budget = eps * inst.L * inst.R * (inst.R + 1.0)
     if backend == "auto":
-        # The sketch-maintained path only pays off once dense factorizations
-        # dominate the restart overhead; below that the dense loop is faster.
-        backend = ("lowrank" if inst.U is not None and base.n > 1024
+        backend = ("woodbury" if inst.U is not None
                    and 4 * (base.k + base.m) <= base.n else "dense")
+    t_end = eps * eps / (4.0 * base.kappa)
     if backend == "lowrank":
         from .cpm import centering_lowrank
         result = centering_lowrank(base, x0, s0, 1.0, t_end, params, seed=seed)
-    else:
+    elif mode == "theory":
         result = centering(base, x0, s0, 1.0, t_end, params, backend=backend)
+    else:
+        result = predictor_corrector(base, x0, s0, scale * budget, backend=backend,
+                                     max_iter=max_iter or _PC_MAX_ITER)
     x, feas = model.restrict_solution(aug, result.x)
-    scale = aug.epsilon * aug.rho
-    s_orig = result.s[: inst.n] / scale
-    y_orig = result.y / scale
-    gap_estimate = 4.0 * result.t * base.kappa / scale
     report = {
         "objective": feas.objective,
         "primal_residual_l1": feas.primal_residual_l1,
         "tau": feas.tau,
-        "duality_gap_estimate": gap_estimate,
+        "duality_gap": oracle.duality_gap(base, result.x, result.s) / scale,
         "iterations": result.iterations,
-        "t_final": result.t,
         "epsilon": eps,
         "mode": mode,
         "backend": backend,
         "seed": seed,
         "radii": {"R": inst.R, "r": inst.r},
         "lipschitz": inst.L,
-        "error_budget": eps * inst.L * inst.R * (inst.R + 1.0),
+        "error_budget": budget,
     }
-    return Solution(x=x, s=s_orig, y=y_orig, report=report)
+    return Solution(x=x, s=result.s[: inst.n] / scale, y=result.y / scale,
+                    report=report)

@@ -187,6 +187,8 @@ def gaussian_lowrank_factor(X, eps, rank_cap=_DEFAULT_RANK_CAP):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError("X must be a 2-d data matrix")
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("X has non-finite entries")
     if not 0 < eps < 1:
         raise ValidationError(f"eps must be in (0, 1), got {eps}")
     n, d = X.shape

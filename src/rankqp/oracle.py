@@ -24,7 +24,7 @@ _DENSE_CAP = 2000
 @dataclass
 class KktReport:
     objective: float
-    stationarity: float        # ||Qx + c - A'y - s||_2
+    stationarity: float        # ||Qx + c + A'y - s||_2
     primal_residual_l1: float  # ||Ax - b||_1
     dual_domain: float         # max_i ||s_i/t + w_i grad phi_i||*_{x_i}, nan if t unknown
     duality_gap: float         # box complementarity bound on f(x) - OPT
@@ -35,12 +35,24 @@ class KktReport:
         return all(math.isfinite(v) for v in vals)
 
 
+def duality_gap(inst: model.QPInstance, x, s):
+    """Box complementarity sum_i s_i^+ (x_i - lo_i) + s_i^- (hi_i - x_i).
+
+    When Ax = b and s = Qx + c + A'y, weak duality makes it a bound on
+    f(x) - OPT; it is infinite if s_i < 0 on a block without upper bound.
+    """
+    s_neg = np.maximum(-s, 0.0)
+    upper = np.where(s_neg > 0, inst.hi - x, 0.0)
+    return float((np.maximum(s, 0.0) * (x - inst.lo) + s_neg * upper).sum())
+
+
 def kkt_residuals(inst: model.QPInstance, x, s, y, t=None) -> KktReport:
+    """Measured optimality of (x, s, y) in the convention Qx + c + A'y = s."""
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float).reshape(inst.m)
     grad_f = inst.q_matvec(x) + inst.c
-    stat = grad_f - (inst.A.T @ y if inst.m else 0.0) - s
+    stat = grad_f + (inst.A.T @ y if inst.m else 0.0) - s
     if t is not None:
         g = barrier.grad_vec(inst.lo, inst.hi, x)
         h = barrier.hess_vec(inst.lo, inst.hi, x)
@@ -48,31 +60,28 @@ def kkt_residuals(inst: model.QPInstance, x, s, y, t=None) -> KktReport:
         dual_domain = float(np.max(np.abs(mu) / np.sqrt(h)))
     else:
         dual_domain = float("nan")
-    s_pos = np.maximum(s, 0.0)
-    s_neg = np.maximum(-s, 0.0)
-    upper = np.where(np.isfinite(inst.hi), inst.hi - x, np.inf)
-    gap_terms = s_pos * (x - inst.lo) + np.where(s_neg > 0, s_neg * upper, 0.0)
     return KktReport(objective=inst.objective(x),
                      stationarity=float(np.linalg.norm(stat)),
                      primal_residual_l1=inst.primal_residual_l1(x),
                      dual_domain=dual_domain,
-                     duality_gap=float(gap_terms.sum()))
+                     duality_gap=duality_gap(inst, x, s))
+
+
+def max_step(v, dv):
+    """Largest a >= 0 with v + a dv >= 0 componentwise; inf if dv >= 0."""
+    neg = dv < 0
+    return float(np.min(v[neg] / -dv[neg])) if neg.any() else math.inf
+
+
+def boundary_step(v, dv):
+    """Fraction-to-boundary rule: 99% of max_step(v, dv), capped at 1."""
+    return min(1.0, 0.99 * max_step(v, dv))
 
 
 def _boundary_cap(inst, x, dx):
     """Largest multiple of dx keeping x strictly interior, damped to 99%."""
-    step = 1.0
-    lo_gap = x - inst.lo
-    neg = dx < 0
-    if neg.any():
-        step = min(step, 0.99 * float(np.min(lo_gap[neg] / -dx[neg])))
-    pos = dx > 0
-    if pos.any():
-        hi_gap = inst.hi - x
-        finite_pos = pos & np.isfinite(inst.hi)
-        if finite_pos.any():
-            step = min(step, 0.99 * float(np.min(hi_gap[finite_pos] / dx[finite_pos])))
-    return step
+    return boundary_step(np.concatenate([x - inst.lo, inst.hi - x]),
+                         np.concatenate([dx, -dx]))
 
 
 def _newton_stage(inst, x, nu, t_o, max_iter=80):
@@ -180,5 +189,5 @@ def dense_solve_qp(inst: model.QPInstance, tol=1e-9):
         raise SolverError("oracle barrier path did not reach the gap target")
     g = barrier.grad_vec(inst.lo, inst.hi, x)
     s = -(inst.w * g) / t_o
-    y = -nu / t_o
+    y = nu / t_o
     return x, s, y, kkt_residuals(inst, x, s, y, t=1.0 / t_o)

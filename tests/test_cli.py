@@ -189,3 +189,20 @@ def test_model_header_rejected(gaussian_model, two_point_data, header):
     lines = gaussian_model.read_text().splitlines()
     gaussian_model.write_text("\n".join([header] + lines[1:]) + "\n")
     assert cli_run(["predict", two_point_data, "--model", str(gaussian_model)]) == 2
+
+
+def test_factor_kernel_non_finite_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.svm"
+    path.write_text("1 1:nan\n-1 1:1\n")
+    assert cli_run(["factor-kernel", str(path)]) == 2
+    assert "X has non-finite entries" in capsys.readouterr().err
+
+
+def test_non_numeric_bound_exits_2(qp_instance_file, capsys):
+    with open(qp_instance_file) as fh:
+        inst = json.load(fh)
+    inst["blocks"][1]["hi"] = "1"
+    with open(qp_instance_file, "w") as fh:
+        json.dump(inst, fh)
+    assert cli_run(["solve-qp", qp_instance_file]) == 2
+    assert "block 1 bound hi" in capsys.readouterr().err

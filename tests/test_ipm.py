@@ -124,7 +124,7 @@ def test_lowrank_step_matches_dense(rng):
         t = float(rng.uniform(0.05, 1.0))
         dmu = rng.normal(size=n)
         dx1, ds1, dy1 = central_path_step(inst, x, s, t, dmu, backend="dense")
-        dx2, ds2, dy2 = central_path_step(inst, x, s, t, dmu, backend="lowrank")
+        dx2, ds2, dy2 = central_path_step(inst, x, s, t, dmu, backend="woodbury")
         scale = max(1.0, np.abs(dx1).max())
         assert np.abs(dx1 - dx2).max() <= 1e-8 * scale
         assert np.abs(ds1 - ds2).max() <= 1e-8 * max(1.0, np.abs(ds1).max())
@@ -266,16 +266,14 @@ def test_infeasible_shapes_rejected():
         ipm.solve(inst, 1e-3, backend="bogus")
 
 
-def test_final_mu_norm_licenses_optimality(rng):
-    # After a full solve the final iterate satisfies ||mu_i||* <= w_i.
+def test_returned_triple_certifies_gap(rng):
+    # The measured duality gap of solve's own (x, s, y) is within the budget.
+    from rankqp import oracle
     inst = random_lowrank_instance(rng, n=12, k=2, m=1)
-    aug, x0, s0 = model.augment_for_initial_point(inst, 1e-2)
-    base = aug.base
-    params = IpmParams.for_instance(base, mode="practical")
-    t_end = 1e-2 ** 2 / (4.0 * base.kappa)
-    res = centering(base, x0, s0, 1.0, t_end, params)
-    mu, gamma = compute_error_terms(base, res.x, res.s, res.t)
-    assert np.all(gamma <= base.w)
+    eps = 1e-2
+    sol = ipm.solve(inst, eps)
+    rep = oracle.kkt_residuals(inst, sol.x, sol.s, sol.y)
+    assert rep.duality_gap <= sol.report["duality_gap"] <= sol.report["error_budget"]
 
 
 def test_solve_iteration_budget(rng):
@@ -290,3 +288,53 @@ def test_solve_iteration_budget(rng):
         counts[n] = (sol.report["iterations"], bound)
     C = 1.5 * counts[16][0] / counts[16][1]
     assert counts[64][0] <= C * counts[64][1]
+
+
+@pytest.mark.parametrize("backend", ["dense", "lowrank"])
+def test_returned_triple_is_stationary(rng, backend):
+    # solve returns y with Qx + c + A'y = s; kkt_residuals measures exactly that.
+    from rankqp import oracle
+    inst = random_lowrank_instance(rng, n=20, k=3, m=2)
+    sol = ipm.solve(inst, 1e-3, backend=backend)
+    rep = oracle.kkt_residuals(inst, sol.x, sol.s, sol.y)
+    assert rep.stationarity <= 1e-8 * max(1.0, inst.L)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_ladder_practical_iterations(rng, n):
+    # The ROADMAP ladder family: boxes [0, 1], Q = GG' with G n x 3, m = 2.
+    sol = ipm.solve(random_lowrank_instance(rng, n=n, k=3, m=2), 1e-3)
+    assert sol.report["backend"] == "woodbury"
+    assert sol.report["iterations"] <= 60
+    assert sol.report["duality_gap"] <= sol.report["error_budget"]
+
+
+def test_auto_matches_oracle(rng):
+    from rankqp import oracle
+    inst = random_lowrank_instance(rng, n=400, k=3, m=2)
+    sol = ipm.solve(inst, 1e-3)
+    _, _, _, rep = oracle.dense_solve_qp(inst, tol=1e-9)
+    assert sol.report["backend"] == "woodbury"
+    assert sol.report["objective"] <= rep.objective + sol.report["error_budget"]
+
+
+def test_edge_cases_within_budget(rng):
+    from rankqp import oracle
+    n = 15
+    G = rng.normal(size=(n, 2))
+    A = rng.normal(size=(2, n))
+    b = A @ rng.uniform(0.3, 0.7, size=n)
+    H = rng.normal(size=(n, n))
+    blocks = [BlockDomain.box(0, 1)] * n
+    cases = {
+        "m=0": dict(A=None, b=[], U=G, V=G),
+        "k=0": dict(A=A, b=b),
+        "dense Q": dict(A=A, b=b, Q=H @ H.T / n),
+    }
+    for name, data in cases.items():
+        inst = build_qp_instance(c=rng.normal(size=n), blocks=blocks, **data)
+        sol = ipm.solve(inst, 1e-3)
+        _, _, _, rep = oracle.dense_solve_qp(inst, tol=1e-9)
+        budget = sol.report["error_budget"]
+        assert sol.report["objective"] <= rep.objective + budget, name
+        assert sol.report["duality_gap"] <= budget, name

@@ -123,6 +123,20 @@ def test_two_point_brute_force_grid():
     assert mdl.dual_objective >= vals.max() - 1e-4
 
 
+def test_hard_margin_dual_matches_oracle():
+    # 60 nearly separable points in 3-d: the box cap 10n is far from the
+    # optimum, and the trained dual must still be within eps_solve of it.
+    from rankqp import oracle
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 3)) * 0.4
+    y = np.where(X[:, 0] + 0.3 * X[:, 1] >= 0, 1.0, -1.0)
+    X[:, 0] += 0.3 * y
+    spec = SvmSpec(X=X, y=y, variant="hard")
+    mdl = train(spec, eps_solve=1e-4)
+    _, _, _, rep = oracle.dense_solve_qp(reduce_to_qp(spec).instance, tol=1e-9)
+    assert abs(mdl.dual_objective - (-rep.objective)) <= 1e-4
+
+
 def test_svm_equality_residual_bound():
     rng = np.random.default_rng(5)
     X = np.vstack([rng.normal(size=(10, 3)) + 2.0, rng.normal(size=(10, 3)) - 2.0])
