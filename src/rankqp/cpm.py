@@ -15,6 +15,11 @@ from .exactds import ExactDS
 from .exceptions import SolverError
 from .sketch import ApproxDS
 
+# Practical-mode safeguard of the maintained path: keep every gamma_i / w_i
+# at or below this level (the bound the approximate-optimality argument
+# needs is 1, with margin).
+_GAMMA_GUARD = 1.0 / 64.0
+
 
 def restart_threshold(n, k, m):
     return max(1, math.ceil(math.sqrt(n / max(k + m, 1))))
@@ -84,7 +89,7 @@ def centering_lowrank(inst: model.QPInstance, x, s, t_start, t_end,
             raise SolverError(f"centering exceeded {params.max_iter} iterations")
         guard = cpm.gamma_guard()
         if params.mode == "practical":
-            if guard > ipm._GAMMA_GUARD:
+            if guard > _GAMMA_GUARD:
                 h = max(0.5 * h, params.h)
             else:
                 h = min(1.1 * h, params.h0)

@@ -27,11 +27,6 @@ import scipy.linalg
 from . import barrier, exactds, model, oracle
 from .exceptions import InvariantViolation, SolverError, ValidationError
 
-# Practical-mode safeguard of the maintained path (``cpm``): keep every
-# gamma_i / w_i at or below this level (the bound the approximate-optimality
-# argument needs is 1, with margin).
-_GAMMA_GUARD = 1.0 / 64.0
-
 # Iteration cap of the practical predictor-corrector.
 _PC_MAX_ITER = 200
 
@@ -155,8 +150,6 @@ def factor_step_matrix(inst: model.QPInstance, d, backend="dense"):
             lu = scipy.linalg.lu_factor(B)
             return lambda v: scipy.linalg.lu_solve(lu, v)
     if backend == "woodbury":
-        if inst.Q is not None:
-            raise ValidationError("the woodbury step needs a factored Q = UV'")
         return exactds.woodbury_factor(d, inst.U, inst.V, 1.0)
     raise ValidationError(f"unknown backend {backend!r}")
 
@@ -264,7 +257,8 @@ def predictor_corrector(inst: model.QPInstance, x, s, gap_target, backend="dense
     plus the second-order term) share that factor, and both parts take one
     common step, 99% of the way to the boundary.  The Newton right-hand
     side carries the measured residuals, so rounding never accumulates.
-    Stops once ``oracle.duality_gap`` of (x, zl - zu) is at most gap_target.
+    Stops once ``oracle.certified_gap`` of (x, y), which also counts the
+    measured residuals, is at most gap_target.
     """
     lo, hi = inst.lo, inst.hi
     up = np.flatnonzero(np.isfinite(hi))
@@ -287,12 +281,15 @@ def predictor_corrector(inst: model.QPInstance, x, s, gap_target, backend="dense
         gu = hi[up] - x[up]
         s = zl.copy()
         s[up] -= zu
-        if oracle.duality_gap(inst, x, s) <= gap_target:
+        # oracle.certified_gap, sharing its products with the Newton residuals
+        s_cert = q_matvec(x) + inst.c + At @ y
+        r_p = inst.b - inst.A @ x
+        gap = oracle.duality_gap(inst, x, s_cert) + abs(float(y @ r_p))
+        if gap <= gap_target:
             return CenteringResult(x=x, s=s, y=y, iterations=it)
         if it >= max_iter:
             raise SolverError(f"predictor-corrector exceeded {max_iter} iterations")
-        r_p = inst.b - inst.A @ x
-        r_d = s - q_matvec(x) - inst.c - At @ y
+        r_d = s - s_cert
         d = zl / gl
         d[up] += zu / gu
         binv = factor_step_matrix(inst, d, backend)
@@ -349,12 +346,13 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
     centers from t = 1 to t = eps^2/(4 kappa) under the potential
     invariant; backend "lowrank" follows the same schedule through
     ExactDS + sketch maintenance (``cpm``).  backend "auto" takes the
-    Woodbury step when Q = UV' is thin (4(k + m) <= n), dense otherwise.
+    Woodbury step when Q = UV' is thin (4(k + m) <= n), dense otherwise,
+    in either mode.
     The returned multipliers satisfy Qx + c + A'y = s.
     """
     if not 0 < eps <= 0.5:
         raise ValidationError(f"eps must be in (0, 1/2], got {eps}")
-    if backend not in ("auto", "dense", "woodbury", "lowrank"):
+    if backend not in ("auto", "dense", "lowrank"):
         raise ValidationError(f"unknown backend {backend!r}")
     aug, x0, s0 = model.augment_for_initial_point(inst, eps)
     base = aug.base
@@ -378,7 +376,7 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
         "objective": feas.objective,
         "primal_residual_l1": feas.primal_residual_l1,
         "tau": feas.tau,
-        "duality_gap": oracle.duality_gap(base, result.x, result.s) / scale,
+        "duality_gap": oracle.certified_gap(base, result.x, result.y) / scale,
         "iterations": result.iterations,
         "epsilon": eps,
         "mode": mode,

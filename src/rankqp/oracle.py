@@ -46,6 +46,18 @@ def duality_gap(inst: model.QPInstance, x, s):
     return float((np.maximum(s, 0.0) * (x - inst.lo) + s_neg * upper).sum())
 
 
+def certified_gap(inst: model.QPInstance, x, y):
+    """Bound on f(x) - OPT measured from (x, y) alone.
+
+    With s = Qx + c + A'y exactly, convexity gives, for every feasible x*,
+    f(x) - f(x*) <= s'(x - x*) + y'(b - Ax) <= duality_gap(x, s) + |y'(b - Ax)|,
+    so neither a stationarity nor an equality residual of x goes unseen.
+    """
+    s = inst.q_matvec(x) + inst.c + (inst.A.T @ y if inst.m else 0.0)
+    r_p = inst.b - inst.A @ x if inst.m else np.zeros(0)
+    return duality_gap(inst, x, s) + abs(float(y @ r_p))
+
+
 def kkt_residuals(inst: model.QPInstance, x, s, y, t=None) -> KktReport:
     """Measured optimality of (x, s, y) in the convention Qx + c + A'y = s."""
     x = np.asarray(x, dtype=float)

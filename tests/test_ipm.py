@@ -266,6 +266,26 @@ def test_infeasible_shapes_rejected():
         ipm.solve(inst, 1e-3, backend="bogus")
 
 
+def _assert_sound(inst, sol, rep, eps):
+    # The returned triple is stationary, and x meets the equality-residual
+    # and tau bounds of the restriction.
+    assert rep.stationarity <= 1e-8 * max(1.0, inst.L)
+    bound = 3 * eps * (inst.R * np.abs(inst.A).sum() + np.abs(inst.b).sum())
+    assert sol.report["primal_residual_l1"] <= bound
+    assert sol.report["tau"] <= 3 * eps
+
+
+def _assert_matches_oracle(inst, sol, eps):
+    # Objective within the budget of the oracle's on both sides, the measured
+    # gap within the budget, and a sound returned triple.
+    from rankqp import oracle
+    _, _, _, ref = oracle.dense_solve_qp(inst, tol=1e-9)
+    budget = sol.report["error_budget"]
+    assert abs(sol.report["objective"] - ref.objective) <= budget
+    assert sol.report["duality_gap"] <= budget
+    _assert_sound(inst, sol, oracle.kkt_residuals(inst, sol.x, sol.s, sol.y), eps)
+
+
 def test_returned_triple_certifies_gap(rng):
     # The measured duality gap of solve's own (x, s, y) is within the budget.
     from rankqp import oracle
@@ -274,6 +294,7 @@ def test_returned_triple_certifies_gap(rng):
     sol = ipm.solve(inst, eps)
     rep = oracle.kkt_residuals(inst, sol.x, sol.s, sol.y)
     assert rep.duality_gap <= sol.report["duality_gap"] <= sol.report["error_budget"]
+    _assert_sound(inst, sol, rep, eps)
 
 
 def test_solve_iteration_budget(rng):
@@ -290,12 +311,15 @@ def test_solve_iteration_budget(rng):
     assert counts[64][0] <= C * counts[64][1]
 
 
-@pytest.mark.parametrize("backend", ["dense", "lowrank"])
-def test_returned_triple_is_stationary(rng, backend):
+@pytest.mark.parametrize("backend,step", [("dense", "dense"), ("auto", "woodbury"),
+                                          ("lowrank", "lowrank")])
+def test_returned_triple_is_stationary(rng, backend, step):
     # solve returns y with Qx + c + A'y = s; kkt_residuals measures exactly that.
+    # At n = 20, k = 3, m = 2, auto takes the Woodbury step (4(k + m) <= n + 1).
     from rankqp import oracle
     inst = random_lowrank_instance(rng, n=20, k=3, m=2)
     sol = ipm.solve(inst, 1e-3, backend=backend)
+    assert sol.report["backend"] == step
     rep = oracle.kkt_residuals(inst, sol.x, sol.s, sol.y)
     assert rep.stationarity <= 1e-8 * max(1.0, inst.L)
 
@@ -313,13 +337,11 @@ def test_auto_matches_oracle(rng):
     from rankqp import oracle
     inst = random_lowrank_instance(rng, n=400, k=3, m=2)
     sol = ipm.solve(inst, 1e-3)
-    _, _, _, rep = oracle.dense_solve_qp(inst, tol=1e-9)
     assert sol.report["backend"] == "woodbury"
-    assert sol.report["objective"] <= rep.objective + sol.report["error_budget"]
+    _assert_matches_oracle(inst, sol, 1e-3)
 
 
 def test_edge_cases_within_budget(rng):
-    from rankqp import oracle
     n = 15
     G = rng.normal(size=(n, 2))
     A = rng.normal(size=(2, n))
@@ -334,7 +356,4 @@ def test_edge_cases_within_budget(rng):
     for name, data in cases.items():
         inst = build_qp_instance(c=rng.normal(size=n), blocks=blocks, **data)
         sol = ipm.solve(inst, 1e-3)
-        _, _, _, rep = oracle.dense_solve_qp(inst, tol=1e-9)
-        budget = sol.report["error_budget"]
-        assert sol.report["objective"] <= rep.objective + budget, name
-        assert sol.report["duality_gap"] <= budget, name
+        _assert_matches_oracle(inst, sol, 1e-3)
