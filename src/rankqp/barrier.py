@@ -34,12 +34,15 @@ class BlockDomain:
 
     @staticmethod
     def box(lo, hi):
+        _check_finite_bound("lo", lo)
+        _check_finite_bound("hi", hi)
         if not lo < hi:
             raise ValidationError(f"box requires lo < hi, got [{lo}, {hi}]")
         return BlockDomain(BOX, float(lo), float(hi), 2.0)
 
     @staticmethod
     def nonneg_box(cap):
+        _check_finite_bound("cap", cap)
         if not cap > 0:
             raise ValidationError(f"cap must be positive, got {cap}")
         return BlockDomain(BOX, 0.0, float(cap), 2.0)
@@ -51,6 +54,13 @@ class BlockDomain:
     @staticmethod
     def half_line():
         return BlockDomain(HALF_LINE, 0.0, math.inf, 1.0)
+
+
+def _check_finite_bound(name, value):
+    # A box has an analytic centre only when both ends are finite; the
+    # half line is built by half_line() and never passes through here.
+    if not math.isfinite(value):
+        raise ValidationError(f"box bound {name} must be finite, got {value}")
 
 
 def barrier_eval(domain: BlockDomain, x: float):

@@ -30,6 +30,7 @@ _EDGE_POINTS = 800
 _PRUNE_REL = 1e-14
 _ORACLE_CAP = 4000
 _DEFAULT_RANK_CAP = 300_000
+_RADIUS_BLOCK = 256
 
 
 def exact_gaussian_kernel(X, cap=_ORACLE_CAP):
@@ -47,10 +48,16 @@ def exact_gaussian_kernel(X, cap=_ORACLE_CAP):
 
 
 def squared_radius(X):
+    """Largest squared pairwise distance, computed _RADIUS_BLOCK rows at a
+    time so that no n x n array is formed."""
     X = np.asarray(X, dtype=float)
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    return float(max(d2.max(), 0.0))
+    best = 0.0
+    for i in range(0, X.shape[0], _RADIUS_BLOCK):
+        rows = slice(i, i + _RADIUS_BLOCK)
+        d2 = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
+        best = max(best, float(d2.max()))
+    return best
 
 
 def _certified_sup_error(coeffs, B):
@@ -111,22 +118,23 @@ def _monomials(X, q):
     """Graded enumeration of all monomials of degree <= q over the columns
     of X.  Each monomial extends its parent by one variable with index at
     most the parent's smallest incremented index, so every exponent tuple
-    is produced exactly once and its value is one multiply."""
+    is produced exactly once and its value is one multiply into its own
+    column of a preallocated column-major array."""
     n, d = X.shape
+    X = np.asfortranarray(X)
+    vals = np.empty((n, math.comb(q + d, d)), order="F")
+    vals[:, 0] = 1.0
     order = [(0,) * d]
-    cols = [np.ones(n)]
     frontier = [((0,) * d, d - 1, 0)]  # (exponent, max extendable var, column)
     for _ in range(q):
         nxt = []
         for e, amax, ci in frontier:
-            base = cols[ci]
             for a in range(amax + 1):
                 e2 = e[:a] + (e[a] + 1,) + e[a + 1:]
+                np.multiply(vals[:, ci], X[:, a], out=vals[:, len(order)])
+                nxt.append((e2, a, len(order)))
                 order.append(e2)
-                cols.append(base * X[:, a])
-                nxt.append((e2, a, len(cols) - 1))
         frontier = nxt
-    vals = np.column_stack(cols)
     degrees = np.array([sum(e) for e in order])
     inv_mfact = np.array([1.0 / math.prod(math.factorial(v) for v in e) for e in order])
     return vals, degrees, inv_mfact, order
@@ -153,33 +161,49 @@ class KernelFactorization:
         return self.U @ (self.V.T @ v)
 
 
-def _feature_blocks(Xc, q, coeffs, side):
-    """U-side or V-side feature matrix, column-indexed by (b0, m)."""
-    n, d = Xc.shape
+def _feature_blocks(Xc, q, coeffs, sides):
+    """Feature matrices for each requested side ("u", "v"), all built from
+    one set of monomials and column-indexed by (b0, m) with b0 + |m| <= q.
+
+    The monomials are graded, so those of degree <= q - b0 are a column
+    prefix, and those of degree l a contiguous range inside it; each b0
+    block is written straight into its slice of the preallocated output."""
+    n = Xc.shape[0]
     norms = np.sum(Xc * Xc, axis=1)
     pows = np.vander(norms, q + 1, increasing=True)  # norms^0 .. norms^q
     mono, deg, inv_mfact, order = _monomials(Xc, q)
+    upto = np.searchsorted(deg, np.arange(q + 1), side="right")  # #{m : |m| <= l}
+    out = {side: np.empty((n, int(upto.sum())), order="F") for side in sides}
     fact = [math.factorial(t) for t in range(q + 1)]
-    blocks = []
     index = []
+    off = 0
     for b0 in range(q + 1):
-        keep = deg <= q - b0
-        mono_b = mono[:, keep]
-        deg_b = deg[keep]
-        if side == "u":
-            blocks.append(pows[:, b0][:, None] * mono_b)
-        else:
-            # S[b0, l](v) = sum_b1 p_{b0+b1+l} (b0+b1+l)! / (b0! b1!) v^b1
-            smat = np.zeros((q + 1 - b0, n))
+        width = int(upto[q - b0])
+        mono_b = mono[:, :width]
+        cols = slice(off, off + width)
+        if "u" in out:
+            np.multiply(pows[:, b0:b0 + 1], mono_b, out=out["u"][:, cols])
+        if "v" in out:
+            # S[b0, l](v) = sum_b1 p_{b0+b1+l} (b0+b1+l)! / (b0! b1!) v^b1,
+            # applied to the columns of degree l after the monomial scaling
+            # cvec; that product order fixes the bits of V
+            block = out["v"][:, cols]
+            cvec = ((-2.0) ** deg[:width]) * inv_mfact[:width]
+            np.multiply(mono_b, cvec, out=block)
             for l in range(q + 1 - b0):
                 cs = [coeffs[b0 + b1 + l] * fact[b0 + b1 + l]
                       / (fact[b0] * math.factorial(b1))
                       for b1 in range(q + 1 - b0 - l)]
-                smat[l] = polynomial.polyval(norms, np.array(cs))
-            cvec = ((-2.0) ** deg_b) * inv_mfact[keep]
-            blocks.append(mono_b * cvec[None, :] * smat[deg_b].T)
-        index.extend((b0, order[i]) for i in np.nonzero(keep)[0])
-    return np.hstack(blocks), index
+                start = int(upto[l - 1]) if l else 0
+                block[:, start:int(upto[l])] *= polynomial.polyval(norms, np.array(cs))[:, None]
+        index.extend((b0, e) for e in order[:width])
+        off += width
+    return [out[side] for side in sides], index
+
+
+def _column_magnitude(F):
+    """max |F_ij| over each column, without an |F| copy."""
+    return np.maximum(F.max(axis=0), -F.min(axis=0))
 
 
 def gaussian_lowrank_factor(X, eps, rank_cap=_DEFAULT_RANK_CAP):
@@ -202,9 +226,8 @@ def gaussian_lowrank_factor(X, eps, rank_cap=_DEFAULT_RANK_CAP):
             f"factorization rank binom({q + d + 1},{d + 1}) exceeds cap {rank_cap}; "
             "use a larger eps or lower-dimensional data")
     coeffs, sup_err = chebyshev_exp_coeffs(B, q)
-    U, index = _feature_blocks(Xc, q, coeffs, "u")
-    V, _ = _feature_blocks(Xc, q, coeffs, "v")
-    colmag = np.max(np.abs(U), axis=0) * np.max(np.abs(V), axis=0)
+    (U, V), index = _feature_blocks(Xc, q, coeffs, ("u", "v"))
+    colmag = _column_magnitude(U) * _column_magnitude(V)
     thresh = _PRUNE_REL * float(colmag.max())
     prune = colmag < thresh
     slack = float(colmag[prune].sum())
@@ -217,8 +240,10 @@ def gaussian_lowrank_factor(X, eps, rank_cap=_DEFAULT_RANK_CAP):
         prune &= colmag < thresh
         slack = float(colmag[prune].sum())
     keep = ~prune
+    if prune.any():
+        U, V = U[:, keep], V[:, keep]
     kept_index = tuple(ix for ix, k in zip(index, keep) if k)
-    return KernelFactorization(U=U[:, keep], V=V[:, keep], degree=q,
+    return KernelFactorization(U=U, V=V, degree=q,
                                rank=int(keep.sum()), radius=B, epsilon=eps,
                                coeffs=coeffs, sup_error=sup_err,
                                prune_slack=slack, shift=shift,
@@ -228,11 +253,19 @@ def gaussian_lowrank_factor(X, eps, rank_cap=_DEFAULT_RANK_CAP):
 def feature_map(fact: KernelFactorization, Xq, side="v"):
     """Features of new points in the factorization's column basis, so that
     U_train @ feature_map(fact, Xq, 'v').T  approximates K(train, query)."""
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float)) - fact.shift
-    full, index = _feature_blocks(Xq, fact.degree, fact.coeffs, "u" if side == "u" else "v")
+    if side not in ("u", "v"):
+        raise ValidationError(f"side must be 'u' or 'v', got {side!r}")
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    d = fact.shift.shape[0]
+    if Xq.ndim != 2 or Xq.shape[1] != d:
+        raise ValidationError(f"queries have shape {Xq.shape}; the factor needs {d} columns")
+    if not np.all(np.isfinite(Xq)):
+        raise ValidationError("queries have non-finite entries")
+    (full,), index = _feature_blocks(Xq - fact.shift, fact.degree, fact.coeffs, (side,))
+    if len(index) == fact.rank:  # nothing was pruned
+        return full
     pos = {ix: i for i, ix in enumerate(index)}
-    cols = [pos[ix] for ix in fact.column_index]
-    return full[:, cols]
+    return full[:, [pos[ix] for ix in fact.column_index]]
 
 
 def scale_by_labels(U, V, y):
@@ -241,8 +274,3 @@ def scale_by_labels(U, V, y):
     if not np.all(np.abs(y) == 1.0):
         raise ValidationError("labels must be +1 or -1")
     return y[:, None] * U, y[:, None] * V
-
-
-def linf_to_spectral(eps, n):
-    """Spectral-error bound implied by an entrywise-l1 guarantee."""
-    return eps * n

@@ -122,7 +122,8 @@ def build_qp_instance(c, A, b, blocks, weights=None, R=None, r=None, L=None,
     if weights is None:
         weights = np.ones(n)
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    # Infinite box bounds are legal; every other number must be finite.
+    # Every number must be finite; BlockDomain.box already rejects infinite
+    # bounds, so only the half line reaches infinity.
     for name, arr in (("c", c), ("A", A), ("b", b), ("U", U), ("V", V), ("Q", Q),
                       ("weights", weights)):
         if arr is not None and not np.all(np.isfinite(arr)):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -206,3 +207,13 @@ def test_non_numeric_bound_exits_2(qp_instance_file, capsys):
         json.dump(inst, fh)
     assert cli_run(["solve-qp", qp_instance_file]) == 2
     assert "block 1 bound hi" in capsys.readouterr().err
+
+
+def test_infinite_box_bound_exits_2(qp_instance_file, capsys):
+    with open(qp_instance_file) as fh:
+        inst = json.load(fh)
+    inst["blocks"][0]["hi"] = math.inf  # written as the JSON token Infinity
+    with open(qp_instance_file, "w") as fh:
+        json.dump(inst, fh)
+    assert cli_run(["solve-qp", qp_instance_file]) == 2
+    assert "box bound hi must be finite" in capsys.readouterr().err

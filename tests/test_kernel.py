@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,10 +157,8 @@ def test_scale_by_labels_rejects_bad_labels():
         kernel.scale_by_labels(np.ones((2, 1)), np.ones((2, 1)), np.array([1.0, 0.5]))
 
 
-def test_linf_to_spectral_values(rng):
-    assert kernel.linf_to_spectral(1e-6, 100) == pytest.approx(1e-4)
-    assert kernel.linf_to_spectral(0.0, 10) == 0.0
-    # empirical: |v'(K - Kt)v| <= eps n ||v||^2
+def test_factor_quadratic_form_error_within_eps_n(rng):
+    # |v'(K - UV')v| <= eps n ||v||^2, from the entrywise-l1 guarantee
     X = rng.normal(size=(60, 3)) * 0.5
     eps = 1e-5
     fact = kernel.gaussian_lowrank_factor(X, eps)
@@ -168,4 +167,68 @@ def test_linf_to_spectral_values(rng):
     for _ in range(40):
         v = rng.normal(size=60)
         lhs = abs(v @ (K - Kt) @ v)
-        assert lhs <= kernel.linf_to_spectral(eps, 60) * (v @ v) + 1e-12
+        assert lhs <= eps * 60 * (v @ v) + 1e-12
+
+
+def _scaled(X, radius):
+    """X scaled so that its largest squared pairwise distance is radius."""
+    return X * math.sqrt(radius / kernel.squared_radius(X))
+
+
+def test_squared_radius_matches_dense_formula(rng):
+    X = rng.normal(size=(600, 3))  # several row blocks, the last one partial
+    sq = np.sum(X * X, axis=1)
+    dense = float((sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)).max())
+    assert kernel.squared_radius(X) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("pruned", [True, False])
+def test_feature_map_of_training_rows_is_the_factor(rng, pruned):
+    if pruned:  # clustered 4-d data at the tiny eps that svm.train asks for
+        X = np.vstack([c + 0.2 * rng.normal(size=(30, 4)) for c in rng.normal(size=(3, 4))])
+        X, eps = _scaled(X, 3.9), 4e-11
+    else:
+        X, eps = _scaled(rng.uniform(-1.0, 1.0, size=(60, 5)), 3.9), 1e-6
+    fact = kernel.gaussian_lowrank_factor(X, eps)
+    d = X.shape[1]
+    full_rank = math.comb(fact.degree + d + 1, d + 1)
+    assert (fact.rank < full_rank) == pruned
+    assert len(fact.column_index) == fact.rank
+    assert np.array_equal(kernel.feature_map(fact, X, "u"), fact.U)
+    assert np.array_equal(kernel.feature_map(fact, X, "v"), fact.V)
+
+
+@pytest.mark.parametrize("Xq, side, match", [
+    (np.zeros((3, 1)), "v", "4 columns"),
+    (np.full((3, 4), np.nan), "v", "non-finite"),
+    (np.full((3, 4), np.inf), "v", "non-finite"),
+    (np.zeros((3, 4)), "w", "side"),
+], ids=["width", "nan", "inf", "side"])
+def test_feature_map_rejects_bad_queries(rng, Xq, side, match):
+    fact = kernel.gaussian_lowrank_factor(rng.normal(size=(20, 4)) * 0.4, 1e-6)
+    with pytest.raises(ValidationError, match=match):
+        kernel.feature_map(fact, Xq, side=side)
+
+
+def _traced_peak(fn, *args):
+    """Result of fn(*args) and the peak of the memory tracemalloc saw it
+    allocate."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_factor_build_memory_is_linear_in_output(rng):
+    n = 2000
+    X = _scaled(rng.uniform(-1.0, 1.0, size=(n, 5)), 3.9)
+    fact, peak = _traced_peak(kernel.gaussian_lowrank_factor, X, 1e-6)
+    assert peak <= 1.5 * (fact.U.nbytes + fact.V.nbytes)
+    feats, peak = _traced_peak(kernel.feature_map, fact, X)
+    assert peak <= 1.6 * feats.nbytes
+    del fact, feats
+    _, peak = _traced_peak(kernel.squared_radius, X)
+    assert peak <= 0.5 * 8 * n * n

@@ -150,7 +150,7 @@ def test_non_finite_data_rejected(field, bad):
         if field == "Q":
             del data["U"], data["V"]
             data["Q"] = np.eye(2)
-    build(**data)  # finite data with infinite box bounds is accepted
+    build(**data)  # finite data on half-line blocks is accepted
     arr = np.array(data[field], dtype=float)
     arr.flat[0] = bad
     data[field] = arr
