@@ -64,7 +64,10 @@ def woodbury_apply(h_diag, U, V, t, rhs):
 
 @dataclass
 class UpdateDeltas:
-    """Sparse changes emitted by ExactDS.update, consumed by the sketches."""
+    """Sparse changes emitted by ExactDS.update, consumed by the sketches.
+
+    The arrays are new on every update and never written afterwards: the
+    sketches hold them until their next query."""
     idx: np.ndarray           # changed block indices, sorted
     h: np.ndarray             # (|idx|,)
     hhat: np.ndarray          # (|idx|, k)

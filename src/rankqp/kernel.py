@@ -29,7 +29,8 @@ _GRID_POINTS = 10_001
 _EDGE_POINTS = 800
 _PRUNE_REL = 1e-14
 _ORACLE_CAP = 4000
-_DEFAULT_RANK_CAP = 300_000
+# Largest U + V the factorizer allocates (16 bytes per row per column).
+_FACTOR_BYTES_CAP = 2 * 2 ** 30
 _RADIUS_BLOCK = 256
 
 
@@ -99,7 +100,12 @@ def poly_degree(B, eps):
     while _certified_sup_error(chebyshev_exp_coeffs(B, q)[0], B) > eps:
         q *= 2
         if q > 512:
-            raise ValidationError("degree search exceeded 512; eps too small for float64")
+            raise ValidationError(
+                f"no certified factor at eps = {eps:.3g} for squared radius "
+                f"B = {B:.4g}: the degree search exceeded 512, and float64 "
+                "rounding floors the certified error; the data's squared "
+                "radius is too large for this eps (rescale the data or use a "
+                "larger eps)")
     lo, hi = max(q // 2, 1), q
     while lo < hi:
         mid = (lo + hi) // 2
@@ -206,8 +212,11 @@ def _column_magnitude(F):
     return np.maximum(F.max(axis=0), -F.min(axis=0))
 
 
-def gaussian_lowrank_factor(X, eps, rank_cap=_DEFAULT_RANK_CAP):
-    """Factor the Gaussian kernel of X so that ||Kv - UV'v||_inf <= eps ||v||_1."""
+def gaussian_lowrank_factor(X, eps, byte_cap=_FACTOR_BYTES_CAP):
+    """Factor the Gaussian kernel of X so that ||Kv - UV'v||_inf <= eps ||v||_1.
+
+    Refuses, before allocating them, a U and V that together need more than
+    ``byte_cap`` bytes."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError("X must be a 2-d data matrix")
@@ -221,10 +230,13 @@ def gaussian_lowrank_factor(X, eps, rank_cap=_DEFAULT_RANK_CAP):
     B_data = squared_radius(Xc)
     B = max(B_data, 1.0)
     q = poly_degree(B, eps / 2.0)
-    if math.comb(q + d + 1, d + 1) > rank_cap:
+    rank = math.comb(q + d + 1, d + 1)
+    need = 16 * n * rank
+    if need > byte_cap:
         raise ValidationError(
-            f"factorization rank binom({q + d + 1},{d + 1}) exceeds cap {rank_cap}; "
-            "use a larger eps or lower-dimensional data")
+            f"factorization U and V need {need} bytes (n = {n}, rank "
+            f"binom({q + d + 1},{d + 1}) = {rank}), over the cap of {byte_cap} bytes; "
+            "use a larger eps, fewer points or lower-dimensional data")
     coeffs, sup_err = chebyshev_exp_coeffs(B, q)
     (U, V), index = _feature_blocks(Xc, q, coeffs, ("u", "v"))
     colmag = _column_magnitude(U) * _column_magnitude(V)

@@ -19,6 +19,8 @@ from . import barrier, model
 from .exceptions import SolverError, ValidationError
 
 _DENSE_CAP = 2000
+# Largest relative KKT residual accepted from the Schur complement step.
+_SCHUR_RTOL = 1e-10
 
 
 @dataclass
@@ -96,6 +98,49 @@ def _boundary_cap(inst, x, dx):
                          np.concatenate([dx, -dx]))
 
 
+def _schur_step(Hmat, A, r_dual, r_pri):
+    """Newton step (dx, dnu) by one Cholesky factor of Hmat: with m > 0,
+    (A Hmat^{-1} A') dnu = r_pri - A Hmat^{-1} r_dual and
+    dx = -Hmat^{-1} (r_dual + A' dnu).
+
+    Raises LinAlgError when Hmat or the Schur complement is not numerically
+    positive definite, or when the step leaves a KKT residual above
+    _SCHUR_RTOL relative to the right-hand side: on widely spread barrier
+    curvatures the Schur complement loses digits that LU on the full KKT
+    matrix keeps."""
+    cho = scipy.linalg.cho_factor(Hmat)
+    hi_rd = scipy.linalg.cho_solve(cho, r_dual)
+    if not r_pri.size:
+        return -hi_rd, np.zeros(0)
+    hi_at = scipy.linalg.cho_solve(cho, A.T)
+    dnu = scipy.linalg.solve(A @ hi_at, r_pri - A @ hi_rd, assume_a="pos")
+    dx = -(hi_rd + hi_at @ dnu)
+    res = math.hypot(float(np.linalg.norm(Hmat @ dx + A.T @ dnu + r_dual)),
+                     float(np.linalg.norm(A @ dx + r_pri)))
+    if not res <= _SCHUR_RTOL * math.hypot(float(np.linalg.norm(r_dual)),
+                                           float(np.linalg.norm(r_pri))):
+        raise scipy.linalg.LinAlgError("inaccurate Schur complement step")
+    return dx, dnu
+
+
+def _kkt_step(Hmat, A, r_dual, r_pri):
+    """Newton step (dx, dnu) from the full KKT matrix by LU, by least squares
+    when that is singular."""
+    n, m = Hmat.shape[0], r_pri.size
+    if not m:
+        return scipy.linalg.lstsq(Hmat, -r_dual)[0], np.zeros(0)
+    K = np.zeros((n + m, n + m))
+    K[:n, :n] = Hmat
+    K[:n, n:] = A.T
+    K[n:, :n] = A
+    rhs = -np.concatenate([r_dual, r_pri])
+    try:
+        sol = scipy.linalg.solve(K, rhs)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        sol = scipy.linalg.lstsq(K, rhs)[0]
+    return sol[:n], sol[n:]
+
+
 def _newton_stage(inst, x, nu, t_o, max_iter=80):
     """Infeasible-start damped Newton for min t_o f(x) + phi_w(x) s.t. Ax = b.
 
@@ -103,7 +148,7 @@ def _newton_stage(inst, x, nu, t_o, max_iter=80):
     feasibility is tight; tolerates a stall at decrement <= 1e-3, which only
     costs a (1 + decrement) factor in the certified gap.
     """
-    n, m = inst.n, inst.m
+    m = inst.m
     Q = inst.q_dense()
     b_scale = 1.0 + (float(np.linalg.norm(inst.b)) if m else 0.0)
     decrement = math.inf
@@ -119,23 +164,10 @@ def _newton_stage(inst, x, nu, t_o, max_iter=80):
         # the damped steps remain productive, so the warning is noise here.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            if m:
-                K = np.zeros((n + m, n + m))
-                K[:n, :n] = Hmat
-                K[:n, n:] = inst.A.T
-                K[n:, :n] = inst.A
-                rhs = -np.concatenate([r_dual, r_pri])
-                try:
-                    sol = scipy.linalg.solve(K, rhs)
-                except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                    sol = scipy.linalg.lstsq(K, rhs)[0]
-                dx, dnu = sol[:n], sol[n:]
-            else:
-                try:
-                    dx = scipy.linalg.solve(Hmat, -r_dual, assume_a="pos")
-                except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-                    dx = scipy.linalg.lstsq(Hmat, -r_dual)[0]
-                dnu = np.zeros(0)
+            try:
+                dx, dnu = _schur_step(Hmat, inst.A, r_dual, r_pri)
+            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+                dx, dnu = _kkt_step(Hmat, inst.A, r_dual, r_pri)
         decrement = math.sqrt(max(float(dx @ (Hmat @ dx)), 0.0))
         feasible = float(np.linalg.norm(r_pri)) <= 1e-10 * b_scale
         if feasible and decrement <= 1e-7:

@@ -1,17 +1,23 @@
 """Sketch-based detection of drifted coordinates.
 
 A shared Gaussian JL matrix sketches the scaled vectors H^{1/2}x and
-H^{-1/2}s through their implicit-representation pieces.  Each piece is kept
-in a segment tree over the coordinate order whose nodes double as the
-partition tree: a node stores Phi restricted to its interval applied to the
-piece restricted to the same interval.  Every node keeps a timestamped
+H^{-1/2}s through their implicit-representation pieces.  The pieces are
+kept side by side as the columns of one segment tree over the coordinate
+order whose nodes double as the partition tree: a node stores Phi
+restricted to its interval applied to the pieces restricted to the same
+interval.  Every node keeps a timestamped
 version list, so queries against any past snapshot replay nothing and
 mutate nothing.
 
-Heavy-coordinate queries descend from the root, expanding children whose
-sketch moved by at least 0.9 * eps since the reference snapshot; a
-dyadic-lookback union over past snapshots plus an exact per-candidate check
-keeps the approximation pair within its local-norm tolerance.
+Updates are applied lazily: the deltas of each step are recorded with
+their timestamp and reach the node sketches, in order, at the next query,
+so a structure rebuilt before it is queried again never pays for them.
+
+Heavy-coordinate queries descend from the root one tree level at a time,
+expanding children whose sketch moved by at least 0.9 * eps since the
+reference snapshot; a dyadic-lookback union over past snapshots plus an
+exact per-candidate check keeps the approximation pair within its
+local-norm tolerance.
 """
 from __future__ import annotations
 
@@ -146,23 +152,42 @@ class VectorSketch:
             raise KeyError(f"no snapshot at or before timestamp {ts}")
         return val_list[pos]
 
+    def rows(self, nodes, ts=None):
+        """``query(v, ts)`` for every v in ``nodes``, stacked into a new array."""
+        if ts is not None and ts < self.init_ts:
+            raise KeyError(f"no snapshot at or before timestamp {ts}")
+        out = self.vals[nodes]
+        if ts is not None:
+            for pos, v in enumerate(nodes):
+                if v in self.versions:
+                    out[pos] = self.query(v, ts)
+        return out
+
 
 class BatchSketch:
-    """Joint sketches of the five representation pieces plus the coefficients."""
+    """Joint sketches of the five representation pieces plus the coefficients.
+
+    One ``VectorSketch`` holds the pieces side by side as the columns
+    H^{1/2} xhat, H^{-1/2} shat, h, hhat (k columns), htil (m columns); an
+    update touches the same coordinates of every piece, so they share one
+    set of node versions.  ``update`` only records the deltas with their
+    timestamp; the sketch takes them, in order, at the next query, and
+    deltas recorded after a structure's last query are dropped unread when
+    ``cpm`` rebuilds it.
+    """
 
     def __init__(self, n, h, hhat, htil, xhat_scaled, shat_scaled, betas,
                  delta_apx, seed):
         self.phi, self.r = jl_sketch_matrix(n, delta_apx, seed)
         self.tree = PartitionTree(n)
         self.ell = 0
-        self.sk_xhat = VectorSketch(self.tree, self.phi, xhat_scaled, 0)
-        self.sk_shat = VectorSketch(self.tree, self.phi, shat_scaled, 0)
-        self.sk_h = VectorSketch(self.tree, self.phi, h, 0)
-        self.sk_hhat = VectorSketch(self.tree, self.phi, hhat, 0)
-        self.sk_htil = VectorSketch(self.tree, self.phi, htil, 0)
+        self.k = np.shape(hhat)[1]
+        self.sk = VectorSketch(self.tree, self.phi,
+                               np.column_stack([xhat_scaled, shat_scaled, h, hhat, htil]), 0)
         self.betas = tuple(np.array(b, dtype=float) if np.ndim(b) else float(b)
                            for b in betas)
         self.beta_history = {0: self.betas}
+        self._pending = []  # (UpdateDeltas, ts) not yet applied to the sketch
 
     def move(self, betas):
         self.betas = tuple(np.array(b, dtype=float) if np.ndim(b) else float(b)
@@ -170,44 +195,52 @@ class BatchSketch:
 
     def update(self, d: UpdateDeltas):
         ts = self.ell + 1
-        self.sk_h.update(d.idx, d.h, ts)
-        self.sk_hhat.update(d.idx, d.hhat, ts)
-        self.sk_htil.update(d.idx, d.htil, ts)
-        self.sk_xhat.update(d.idx, d.xhat_scaled, ts)
-        self.sk_shat.update(d.idx, d.shat_scaled, ts)
+        self._pending.append((d, ts))
         self.ell = ts
         self.beta_history[ts] = self.betas
 
-    def _combine(self, v, ts, side):
-        if ts is None:
-            beta_x, beta_s, bhat_x, bhat_s, btil_x, btil_s = self.betas
-        else:
-            beta_x, beta_s, bhat_x, bhat_s, btil_x, btil_s = self.beta_history[ts]
-        h = self.sk_h.query(v, ts)
-        hhat = self.sk_hhat.query(v, ts)
-        htil = self.sk_htil.query(v, ts)
+    def _flush(self):
+        for d, ts in self._pending:
+            self.sk.update(d.idx, np.column_stack(
+                [d.xhat_scaled, d.shat_scaled, d.h, d.hhat, d.htil]), ts)
+        self._pending.clear()
+
+    def _combine(self, nodes, ts, side):
+        """Combined sketches of ``nodes`` at snapshot ts (None: now), one row each."""
+        betas = self.betas if ts is None else self.beta_history[ts]
         if side == "x":
-            return self.sk_xhat.query(v, ts) + h * beta_x + hhat @ bhat_x + htil @ btil_x
-        return self.sk_shat.query(v, ts) + h * beta_s + hhat @ bhat_s + htil @ btil_s
+            col, beta, bhat, btil = 0, betas[0], betas[2], betas[4]
+        else:
+            col, beta, bhat, btil = 1, betas[1], betas[3], betas[5]
+        rows = self.sk.rows(nodes, ts)
+        k = self.k
+        return (rows[:, :, col] + rows[:, :, 2] * beta
+                + rows[:, :, 3:3 + k] @ bhat + rows[:, :, 3 + k:] @ btil)
 
     def query_node_sketch(self, v, side, ts=None):
-        return self._combine(v, ts, side)
+        self._flush()
+        return self._combine([v], ts, side)[0]
 
     def query_heavy(self, side, ts_ref, eps):
         """Indices whose scaled coordinate may have moved >= eps since ts_ref."""
         if ts_ref > self.ell or ts_ref not in self.beta_history:
             raise KeyError(f"unknown snapshot timestamp {ts_ref}")
+        self._flush()
+        tree = self.tree
         out = []
-        stack = [self.tree.root()]
-        while stack:
-            v = stack.pop()
-            if self.tree.is_leaf(v):
-                out.append(self.tree.interval(v)[0])
-                continue
-            for c in self.tree.children(v):
-                diff = self._combine(c, None, side) - self._combine(c, ts_ref, side)
-                if float(np.linalg.norm(diff)) >= 0.9 * eps:
-                    stack.append(c)
+        frontier = [tree.root()]
+        while frontier:
+            kids = []
+            for v in frontier:
+                if tree.is_leaf(v):
+                    out.append(tree.interval(v)[0])
+                else:
+                    kids.extend(tree.children(v))
+            if not kids:
+                break
+            diff = self._combine(kids, None, side) - self._combine(kids, ts_ref, side)
+            frontier = [c for c, row in zip(kids, diff)
+                        if float(np.linalg.norm(row)) >= 0.9 * eps]
         return sorted(out)
 
 

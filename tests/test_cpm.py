@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rankqp import ipm
-from rankqp.cpm import CentralPathMaintenance, restart_threshold
+from rankqp import barrier, build_qp_instance, ipm, model, oracle, sketch
+from rankqp.barrier import BlockDomain
+from rankqp.cpm import CentralPathMaintenance, centering_lowrank, restart_threshold
 from rankqp.exceptions import SolverError
 from rankqp.ipm import IpmParams
 
@@ -70,3 +71,52 @@ def test_iteration_cap(rng):
     inst = random_lowrank_instance(rng, n=8, k=1, m=1)
     with pytest.raises(SolverError):
         ipm.solve(inst, 1e-3, backend="lowrank", max_iter=3)
+
+
+@pytest.fixture
+def sketch_updates(monkeypatch):
+    """Counts the node-sketch updates that are actually applied."""
+    calls = []
+    apply = sketch.VectorSketch.update
+
+    def counted(self, idx, deltas, ts):
+        calls.append(ts)
+        return apply(self, idx, deltas, ts)
+
+    monkeypatch.setattr(sketch.VectorSketch, "update", counted)
+    return calls
+
+
+def test_practical_lowrank_solve_applies_no_sketch_update(sketch_updates):
+    # The benchmark's low-rank box QP (n = 32, Q = GG' with G n x 3, two
+    # equality rows): practical mode rebuilds the structure on every step,
+    # so each step's recorded deltas are dropped before any query reads them.
+    rng = np.random.default_rng([5101, 0])
+    n = 32
+    G = rng.normal(size=(n, 3))
+    A = rng.normal(size=(2, n))
+    z = rng.uniform(0.3, 0.7, size=n)
+    inst = build_qp_instance(c=rng.normal(size=n), A=A, b=A @ z,
+                             blocks=[BlockDomain.box(0.0, 1.0)] * n, U=G, V=G)
+    eps = 1e-3
+    sol = ipm.solve(inst, eps, backend="lowrank")
+    assert sketch_updates == []
+    ref = oracle.dense_solve_qp(inst, tol=1e-9)[3].objective
+    assert inst.objective(sol.x) - ref <= eps * inst.L * inst.R * (inst.R + 1)
+
+
+def test_theory_lowrank_centering_applies_updates_and_matches_dense(rng, sketch_updates):
+    # Theory mode keeps a structure for q steps, so its queries apply the
+    # recorded deltas; the maintained path must still track the dense one.
+    inst = random_lowrank_instance(rng, n=40, k=2, m=1)
+    aug, x0, s0 = model.augment_for_initial_point(inst, 1e-2)
+    base = aug.base
+    params = IpmParams.for_instance(base, mode="theory")
+    t_end = (1.0 - params.h) ** 150
+    low = centering_lowrank(base, x0, s0, 1.0, t_end, params, seed=0, collect_trace=True)
+    dense = ipm.centering(base, x0, s0, 1.0, t_end, params, backend="dense")
+    assert low.iterations == dense.iterations >= 150
+    assert low.trace[-1]["restarts"] > 1
+    assert sketch_updates
+    hess = barrier.hess_vec(base.lo, base.hi, dense.x)
+    assert np.max(np.sqrt(hess) * np.abs(low.x - dense.x)) <= params.eps_bar

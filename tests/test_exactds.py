@@ -168,6 +168,22 @@ def test_update_support_is_exact(rng):
     assert deltas.htil.shape == (4, inst.m)
 
 
+def test_update_deltas_survive_later_updates(rng):
+    # The sketches hold emitted deltas until their next query, so a later
+    # update must not write into them.
+    inst, _, ds, _, _ = _make_state(rng)
+    dxb = np.zeros(inst.n)
+    dxb[[2, 7]] = 0.01
+    first = ds.update(dxb, np.zeros(inst.n))
+    kept = {f: np.copy(getattr(first, f))
+            for f in ("idx", "h", "hhat", "htil", "xhat_scaled", "shat_scaled")}
+    ds.move()
+    dxb[[2, 7, 9]] = -0.02
+    ds.update(dxb, 0.01 * np.ones(inst.n))
+    for f, val in kept.items():
+        assert np.array_equal(getattr(first, f), val), f
+
+
 def test_summaries_after_many_sparse_updates(rng):
     inst, _, ds, _, _ = _make_state(rng, n=60)
     for _ in range(100):

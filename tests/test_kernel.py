@@ -66,6 +66,12 @@ def test_poly_degree_matches_theory_scaling():
     assert ref / 4.0 <= q <= 4.0 * ref
 
 
+def test_poly_degree_refusal_names_the_radius():
+    with pytest.raises(ValidationError, match=r"eps = 2e-11 for squared radius B = 8\b.*"
+                                              r"squared radius is too large"):
+        kernel.poly_degree(8.0, 2e-11)
+
+
 def test_poly_degree_validates_inputs():
     with pytest.raises(ValidationError):
         kernel.poly_degree(0.5, 1e-3)
@@ -115,7 +121,24 @@ def test_factor_linf_guarantee_random_vectors(rng):
 def test_factor_rank_cap_error(rng):
     X = rng.normal(size=(20, 8))
     with pytest.raises(ValidationError):
-        kernel.gaussian_lowrank_factor(X, 1e-9, rank_cap=100)
+        kernel.gaussian_lowrank_factor(X, 1e-9, byte_cap=16 * 20 * 100)
+
+
+def test_factor_byte_cap_counts_rows(rng):
+    # The same rank fits for few rows and is refused for many, with both the
+    # needed bytes and the cap in the message; the cap is checked before U
+    # and V exist, so a small cap keeps this test small.
+    X = rng.uniform(-0.25, 0.25, size=(400, 3))  # squared radius < 1: B = 1
+    fact = kernel.gaussian_lowrank_factor(X[:10], 1e-6)
+    need = 16 * 400 * math.comb(fact.degree + 4, 4)
+    cap = 16 * 10 * math.comb(fact.degree + 4, 4)
+    assert kernel.gaussian_lowrank_factor(X[:10], 1e-6, byte_cap=cap).rank == fact.rank
+    with pytest.raises(ValidationError, match=f"need {need} bytes.*cap of {cap} bytes"):
+        kernel.gaussian_lowrank_factor(X, 1e-6, byte_cap=cap)
+    # The default cap refuses n = 2000, d = 8 at rank binom(21, 9) (about
+    # 9.4 GB) and admits kernel-sized factors such as n = 4000 at rank 5005.
+    assert 16 * 2000 * math.comb(21, 9) > kernel._FACTOR_BYTES_CAP
+    assert 16 * 4000 * 5005 <= kernel._FACTOR_BYTES_CAP
 
 
 def test_feature_map_queries(rng):

@@ -87,3 +87,24 @@ def test_oracle_agrees_with_main_solver(rng):
         sol = ipm.solve(inst, eps, backend="dense")
         _, _, _, rep = oracle.dense_solve_qp(inst, tol=1e-10)
         assert sol.report["objective"] <= rep.objective + eps * inst.L * inst.R * (inst.R + 1)
+
+
+@pytest.mark.parametrize("seed", [74, 146])
+def test_oracle_solves_widely_scaled_boxes(seed):
+    # Box widths from 1e-3 to 1e2 spread the barrier curvature over many
+    # orders of magnitude.  On these two instances the Schur complement step
+    # alone stalls the line search; steps it cannot solve to its residual
+    # tolerance go to LU on the full KKT matrix.
+    rng = np.random.default_rng(seed)
+    n, m, k = (int(rng.integers(lo, hi)) for lo, hi in ((4, 25), (1, 4), (1, 4)))
+    lo = 3.0 * rng.normal(size=n)
+    width = 10.0 ** rng.uniform(-3, 2, size=n)
+    z = lo + width * rng.uniform(0.2, 0.8, size=n)
+    A = rng.normal(size=(m, n))
+    G = rng.normal(size=(n, k))
+    inst = build_qp_instance(c=rng.normal(size=n), A=A, b=A @ z,
+                             blocks=[BlockDomain.box(a, a + w) for a, w in zip(lo, width)],
+                             U=G, V=G)
+    x, s, y, rep = oracle.dense_solve_qp(inst, tol=1e-8)
+    assert rep.primal_residual_l1 <= 1e-8 * max(1.0, float(np.abs(inst.b).sum()))
+    assert oracle.certified_gap(inst, x, y) <= 1e-6 * max(1.0, abs(rep.objective))

@@ -222,6 +222,84 @@ def test_unknown_snapshot_rejected(rng):
         bs.query_heavy("x", 5, 0.1)
 
 
+# -- lazy updates and level-batched queries --------------------------------------
+
+def _random_betas(rng, k, m):
+    return (float(rng.normal()), float(rng.normal()), rng.normal(size=k),
+            rng.normal(size=k), rng.normal(size=m), rng.normal(size=m))
+
+
+def _random_deltas(rng, n, k, m, size, scale=1.0):
+    idx = np.sort(rng.choice(n, size=size, replace=False))
+    return UpdateDeltas(idx=idx, h=scale * rng.normal(size=size),
+                        hhat=scale * rng.normal(size=(size, k)),
+                        htil=scale * rng.normal(size=(size, m)),
+                        xhat_scaled=scale * rng.normal(size=size),
+                        shat_scaled=scale * rng.normal(size=size))
+
+
+def _reference_heavy(bs, side, ts_ref, eps):
+    """Depth-first descent that tests one node at a time."""
+    out, stack = [], [bs.tree.root()]
+    while stack:
+        v = stack.pop()
+        if bs.tree.is_leaf(v):
+            out.append(bs.tree.interval(v)[0])
+            continue
+        for c in bs.tree.children(v):
+            diff = bs.query_node_sketch(c, side) - bs.query_node_sketch(c, side, ts=ts_ref)
+            if float(np.linalg.norm(diff)) >= 0.9 * eps:
+                stack.append(c)
+    return sorted(out)
+
+
+def test_lazy_updates_match_eager_queries(rng):
+    # Two sketches see the same steps; one is queried after every update,
+    # the other only at the end, when all its deltas are applied at once.
+    n, k, m = 45, 3, 2
+    h, hhat, htil = rng.normal(size=n), rng.normal(size=(n, k)), rng.normal(size=(n, m))
+    xs, ss = rng.normal(size=n), rng.normal(size=n)
+    eager, lazy = (BatchSketch(n, h, hhat, htil, xs, ss, _zero_betas(k, m),
+                               delta_apx=0.05, seed=4) for _ in range(2))
+    for _ in range(12):
+        betas = _random_betas(rng, k, m)
+        d = _random_deltas(rng, n, k, m, int(rng.integers(0, 5)))
+        for bs in (eager, lazy):
+            bs.move(betas)
+            bs.update(d)
+        eager.query_heavy("x", eager.ell - 1, 0.1)
+        h[d.idx] += d.h
+        hhat[d.idx] += d.hhat
+        htil[d.idx] += d.htil
+        xs[d.idx] += d.xhat_scaled
+        ss[d.idx] += d.shat_scaled
+    for ts in range(lazy.ell + 1):
+        for side in "xs":
+            for v in lazy.tree.nodes():
+                assert np.array_equal(lazy.query_node_sketch(v, side, ts),
+                                      eager.query_node_sketch(v, side, ts))
+            assert lazy.query_heavy(side, ts, 0.5) == eager.query_heavy(side, ts, 0.5)
+    beta_x, _, bhat_x, _, btil_x, _ = betas
+    x_now = xs + h * beta_x + hhat @ bhat_x + htil @ btil_x
+    for v in lazy.tree.nodes():
+        lo, hi = lazy.tree.interval(v)
+        want = lazy.phi[:, lo:hi] @ x_now[lo:hi]
+        assert np.abs(lazy.query_node_sketch(v, "x") - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 5, 33, 128])
+def test_query_heavy_matches_per_node_descent(rng, n):
+    k, m, eps = 3, 2, 0.05
+    bs = _fresh_batch(rng, n, k=k, m=m, seed=n)
+    for _ in range(6):
+        # small coefficient moves everywhere, large moves planted on a few
+        bs.move(tuple(1e-3 * b for b in _random_betas(rng, k, m)))
+        bs.update(_random_deltas(rng, n, k, m, min(2, n), scale=10 * eps))
+    for ts_ref in range(bs.ell + 1):
+        for side in "xs":
+            assert bs.query_heavy(side, ts_ref, eps) == _reference_heavy(bs, side, ts_ref, eps)
+
+
 # -- dyadic lookback decomposition ---------------------------------------------
 
 def test_dyadic_lookbacks_tile_suffix():
