@@ -48,10 +48,6 @@ class BlockDomain:
         return BlockDomain(BOX, 0.0, float(cap), 2.0)
 
     @staticmethod
-    def unit_interval02():
-        return BlockDomain(BOX, 0.0, 2.0, 2.0)
-
-    @staticmethod
     def half_line():
         return BlockDomain(HALF_LINE, 0.0, math.inf, 1.0)
 

@@ -4,9 +4,10 @@
 
 with multipliers in the convention Qx + c + A'y = s.
 
-Practical mode runs a Mehrotra predictor-corrector on the bound multipliers
-s = zl - zu and stops on the measured duality gap (``predictor_corrector``).
-Theory mode follows the robust central path
+Practical mode runs a Mehrotra predictor-corrector on the instance itself,
+from the analytic centre of the boxes, and stops on the measured duality gap
+and equality residual (``predictor_corrector``).  Theory mode follows, on the
+initial-point augmentation of the instance, the robust central path
 
     s/t + grad phi_w(x) = mu,   Ax = b,   Qx + c + A'y = s,
 
@@ -243,82 +244,72 @@ def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
     return CenteringResult(x=x, s=s, y=y, iterations=it, trace=trace)
 
 
-def predictor_corrector(inst: model.QPInstance, x, s, gap_target, backend="dense",
-                        max_iter=_PC_MAX_ITER):
-    """Mehrotra predictor-corrector from the interior point (x, s, y = 0).
+def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
+                        backend="dense", max_iter=_PC_MAX_ITER):
+    """Mehrotra predictor-corrector from the analytic centre of the boxes.
 
-    Splits s into bound multipliers s = zl - zu (zu only on blocks with an
-    upper bound) and solves, with gl = x - lo and gu = hi - x,
+    Splits the multipliers into bound multipliers zl, zu and solves, with
+    gl = x - lo and gu = hi - x,
 
         Qx + c + A'y = zl - zu,   Ax = b,   gl zl = gu zu = sigma mu,
 
-    by Newton steps.  Each iteration factors B = Q + zl/gl + zu/gu once;
-    the predictor (sigma = 0) and the corrector (sigma = (mu_aff/mu)^3
-    plus the second-order term) share that factor, and both parts take one
-    common step, 99% of the way to the boundary.  The Newton right-hand
-    side carries the measured residuals, so rounding never accumulates.
-    Stops once ``oracle.certified_gap`` of (x, y), which also counts the
-    measured residuals, is at most gap_target.
+    by Newton steps from x = analytic centre, y = 0, zl = 1/gl, zu = 1/gu.
+    Each iteration factors B = Q + zl/gl + zu/gu once; the predictor
+    (sigma = 0) and the corrector (sigma = (mu_aff/mu)^3 plus the
+    second-order term) share that factor, and both parts take one common
+    step, 99% of the way to the boundary.  The Newton right-hand side
+    carries the measured residuals, so the start need not satisfy Ax = b and
+    rounding never accumulates.  Stops once ``oracle.certified_gap`` of
+    (x, y) is at most gap_target and ||b - Ax||_1 at most resid_target, and
+    returns s = Qx + c + A'y, the slack that certificate measures.
     """
     lo, hi = inst.lo, inst.hi
-    up = np.flatnonzero(np.isfinite(hi))
-    x = np.array(x, dtype=float)
-    s = np.asarray(s, dtype=float)
+    x = model.analytic_center_point(inst)
     y = np.zeros(inst.m)
-    barrier.check_interior(lo, hi, x)
-    # Start every complementarity product at 1, with zl - zu = s.
-    zl = 1.0 / (x - lo) + np.maximum(s, 0.0)
-    zu = 1.0 / (hi[up] - x[up]) + np.maximum(-s[up], 0.0)
-    half = np.setdiff1d(np.arange(inst.n), up)
-    zl[half] = np.maximum(s[half], 1.0 / (x[half] - lo[half]))
-    n_pairs = inst.n + up.size
+    zl = 1.0 / (x - lo)
+    zu = 1.0 / (hi - x)
+    n_pairs = 2 * inst.n
     At = inst.A.T
     # The dense step forms Q = UV' anyway; multiplying by it beats UV'x when k > n.
     q_matvec = inst.q_dense().dot if backend == "dense" else inst.q_matvec
     it = 0
     while True:
         gl = x - lo
-        gu = hi[up] - x[up]
-        s = zl.copy()
-        s[up] -= zu
+        gu = hi - x
         # oracle.certified_gap, sharing its products with the Newton residuals
-        s_cert = q_matvec(x) + inst.c + At @ y
+        s = q_matvec(x) + inst.c + At @ y
         r_p = inst.b - inst.A @ x
-        gap = oracle.duality_gap(inst, x, s_cert) + abs(float(y @ r_p))
-        if gap <= gap_target:
+        gap = oracle.duality_gap(inst, x, s) + abs(float(y @ r_p))
+        if gap <= gap_target and float(np.abs(r_p).sum()) <= resid_target:
             return CenteringResult(x=x, s=s, y=y, iterations=it)
         if it >= max_iter:
             raise SolverError(f"predictor-corrector exceeded {max_iter} iterations")
-        r_d = s - s_cert
-        d = zl / gl
-        d[up] += zu / gu
-        binv = factor_step_matrix(inst, d, backend)
+        r_d = zl - zu - s
+        binv = factor_step_matrix(inst, zl / gl + zu / gu, backend)
         BiAt = binv(At) if inst.m else None
         S = inst.A @ BiAt if inst.m else None
 
         def newton(rl, ru):
-            g = r_d + rl / gl
-            g[up] -= ru / gu
-            z = binv(g)
+            z = binv(r_d + rl / gl - ru / gu)
             if inst.m:
                 dy = _solve_normal(S, inst.A @ z - r_p, "predictor_corrector")
                 dx = z - BiAt @ dy
             else:
                 dy = np.zeros(0)
                 dx = z
-            return dx, dy, (rl - zl * dx) / gl, (ru + zu * dx[up]) / gu
+            return dx, dy, (rl - zl * dx) / gl, (ru + zu * dx) / gu
 
         # Every gap and multiplier must stay positive.
         v = np.concatenate([gl, gu, zl, zu])
         mu = (gl @ zl + gu @ zu) / n_pairs
         dx, _, dzl, dzu = newton(-gl * zl, -gu * zu)
-        a = min(1.0, oracle.max_step(v, np.concatenate([dx, -dx[up], dzl, dzu])))
+        a = min(1.0, oracle.max_step(v, np.concatenate([dx, -dx, dzl, dzu])))
         mu_aff = ((gl + a * dx) @ (zl + a * dzl)
-                  + (gu - a * dx[up]) @ (zu + a * dzu)) / n_pairs
+                  + (gu - a * dx) @ (zu + a * dzu)) / n_pairs
         sigma = (mu_aff / mu) ** 3
         dx, dy, dzl, dzu = newton(sigma * mu - gl * zl - dx * dzl,
-                                  sigma * mu - gu * zu + dx[up] * dzu)
-        a = oracle.boundary_step(v, np.concatenate([dx, -dx[up], dzl, dzu]))
+                                  sigma * mu - gu * zu + dx * dzu)
+        a = oracle.boundary_step(v, np.concatenate([dx, -dx, dzl, dzu]))
         if not a > 0 or not np.all(np.isfinite(dx)):
             raise SolverError(f"predictor-corrector stalled at iteration {it}")
         x += a * dx
@@ -340,43 +331,53 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
           seed=0, max_iter=None):
     """Solve the instance to additive objective error eps * L * R(R+1).
 
-    Augments for the initial point and restricts the result.  Practical
-    mode runs ``predictor_corrector`` until the measured duality gap, in
-    the original objective's units, is at most that budget.  Theory mode
-    centers from t = 1 to t = eps^2/(4 kappa) under the potential
-    invariant; backend "lowrank" follows the same schedule through
-    ExactDS + sketch maintenance (``cpm``).  backend "auto" takes the
-    Woodbury step when Q = UV' is thin (4(k + m) <= n), dense otherwise,
-    in either mode.
+    Practical mode with the dense or Woodbury step runs
+    ``predictor_corrector`` on the instance itself until the measured
+    duality gap is at most that budget and ||b - Ax||_1 at most
+    3 eps (R ||A||_1 + ||b||_1), both in the instance's own units.  Theory
+    mode and backend "lowrank" augment for the initial point, follow the
+    central path from t = 1 to t = eps^2/(4 kappa) and restrict the result:
+    theory mode under the potential invariant, "lowrank" through ExactDS +
+    sketch maintenance (``cpm``).  backend "auto" takes the Woodbury step
+    when Q = UV' is thin (4(k + m) <= n), dense otherwise, in either mode.
     The returned multipliers satisfy Qx + c + A'y = s.
     """
     if not 0 < eps <= 0.5:
         raise ValidationError(f"eps must be in (0, 1/2], got {eps}")
     if backend not in ("auto", "dense", "lowrank"):
         raise ValidationError(f"unknown backend {backend!r}")
-    aug, x0, s0 = model.augment_for_initial_point(inst, eps)
-    base = aug.base
-    params = IpmParams.for_instance(base, mode=mode, max_iter=max_iter)
-    scale = aug.epsilon * aug.rho
+    if mode not in ("theory", "practical"):
+        raise ValidationError(f"unknown mode {mode!r}")
     budget = eps * inst.L * inst.R * (inst.R + 1.0)
     if backend == "auto":
         backend = ("woodbury" if inst.U is not None
-                   and 4 * (base.k + base.m) <= base.n else "dense")
-    t_end = eps * eps / (4.0 * base.kappa)
-    if backend == "lowrank":
-        from .cpm import centering_lowrank
-        result = centering_lowrank(base, x0, s0, 1.0, t_end, params, seed=seed)
-    elif mode == "theory":
-        result = centering(base, x0, s0, 1.0, t_end, params, backend=backend)
-    else:
-        result = predictor_corrector(base, x0, s0, scale * budget, backend=backend,
+                   and 4 * (inst.k + inst.m) <= inst.n else "dense")
+    if mode == "practical" and backend != "lowrank":
+        resid_bound = 3.0 * eps * (inst.R * float(np.abs(inst.A).sum())
+                                   + float(np.abs(inst.b).sum()))
+        result = predictor_corrector(inst, budget, resid_bound, backend=backend,
                                      max_iter=max_iter or _PC_MAX_ITER)
-    x, feas = model.restrict_solution(aug, result.x)
+        x, s, y = result.x, result.s, result.y
+        gap = oracle.certified_gap(inst, x, y)
+    else:
+        aug, x0, s0 = model.augment_for_initial_point(inst, eps)
+        base = aug.base
+        params = IpmParams.for_instance(base, mode=mode, max_iter=max_iter)
+        t_end = eps * eps / (4.0 * base.kappa)
+        if backend == "lowrank":
+            from .cpm import centering_lowrank
+            result = centering_lowrank(base, x0, s0, 1.0, t_end, params, seed=seed)
+        else:
+            result = centering(base, x0, s0, 1.0, t_end, params, backend=backend)
+        scale = aug.epsilon * aug.rho
+        x = model.restrict_solution(aug, result.x)
+        s = result.s[: inst.n] / scale
+        y = result.y / scale
+        gap = oracle.certified_gap(base, result.x, result.y) / scale
     report = {
-        "objective": feas.objective,
-        "primal_residual_l1": feas.primal_residual_l1,
-        "tau": feas.tau,
-        "duality_gap": oracle.certified_gap(base, result.x, result.y) / scale,
+        "objective": inst.objective(x),
+        "primal_residual_l1": inst.primal_residual_l1(x),
+        "duality_gap": gap,
         "iterations": result.iterations,
         "epsilon": eps,
         "mode": mode,
@@ -386,5 +387,4 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
         "lipschitz": inst.L,
         "error_budget": budget,
     }
-    return Solution(x=x, s=result.s[: inst.n] / scale, y=result.y / scale,
-                    report=report)
+    return Solution(x=x, s=s, y=y, report=report)

@@ -281,8 +281,11 @@ def feature_map(fact: KernelFactorization, Xq, side="v"):
 
 
 def scale_by_labels(U, V, y):
-    """Row-scale both factors by +-1 labels: (D_y U)(D_y V)' = (UV') o (yy')."""
+    """Row-scale both factors by +-1 labels: (D_y U)(D_y V)' = (UV') o (yy').
+
+    A symmetric factorization (V is U) is scaled once and shared."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.abs(y) == 1.0):
         raise ValidationError("labels must be +1 or -1")
-    return y[:, None] * U, y[:, None] * V
+    yU = y[:, None] * U
+    return yU, (yU if V is U else y[:, None] * V)

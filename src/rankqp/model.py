@@ -1,4 +1,5 @@
-"""Generic QP instances and the initial-point augmentation.
+"""Generic QP instances and the initial-point augmentation, which theory
+mode and the lowrank backend start from.
 
 An instance is
 
@@ -22,7 +23,8 @@ _SYM_TOL = 1e-10
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=float)
+    # A read-only view: the caller's own array keeps its flags.
+    a = np.ascontiguousarray(a, dtype=float).view()
     a.setflags(write=False)
     return a
 
@@ -176,7 +178,6 @@ class AugmentedInstance:
     base: QPInstance          # dimension n + 1, objective scaled by eps*rho
     epsilon: float
     rho: float
-    origin_x0: np.ndarray     # analytic center of the original barrier
     parent: QPInstance
 
 
@@ -221,23 +222,9 @@ def augment_for_initial_point(inst: QPInstance, eps: float):
                              U=U_aug, V=V_aug, Q=Q_aug)
     x0_bar = np.concatenate([x0, [1.0]])
     s0_bar = np.concatenate([s0, [1.0]])
-    return AugmentedInstance(base=base, epsilon=eps, rho=rho, origin_x0=x0,
-                             parent=inst), x0_bar, s0_bar
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    objective: float
-    primal_residual_l1: float
-    tau: float
+    return AugmentedInstance(base=base, epsilon=eps, rho=rho, parent=inst), x0_bar, s0_bar
 
 
 def restrict_solution(aug: AugmentedInstance, x_bar):
     """Project an augmented iterate back to the original variables."""
-    x_bar = np.asarray(x_bar, dtype=float)
-    inst = aug.parent
-    x = x_bar[: inst.n].copy()
-    report = FeasibilityReport(objective=inst.objective(x),
-                               primal_residual_l1=inst.primal_residual_l1(x),
-                               tau=float(x_bar[inst.n]))
-    return x, report
+    return np.asarray(x_bar, dtype=float)[: aug.parent.n].copy()

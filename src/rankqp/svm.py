@@ -73,8 +73,7 @@ class SvmSpec:
 
 def _kernel_factors(spec: SvmSpec, eps_factor):
     if spec.kernel == "linear":
-        X = spec.X
-        return X.copy(), X.copy(), None
+        return spec.X, spec.X, None
     fact = kernel.gaussian_lowrank_factor(spec.X, eps_factor)
     return fact.U, fact.V, fact
 

@@ -40,7 +40,7 @@ def test_bad_box_rejected():
 
 def test_gradient_matches_finite_differences(rng):
     domains = [BlockDomain.box(-1.0, 3.0), BlockDomain.nonneg_box(5.0),
-               BlockDomain.unit_interval02(), BlockDomain.half_line()]
+               BlockDomain.box(0.0, 2.0), BlockDomain.half_line()]
     checked = 0
     for d in domains:
         hi = d.hi if math.isfinite(d.hi) else d.lo + 10.0
@@ -82,7 +82,6 @@ def test_nu_bound(rng):
 def test_analytic_centers():
     assert barrier.analytic_center(BlockDomain.box(0.0, 2.0)) == 1.0
     assert barrier.analytic_center(BlockDomain.nonneg_box(7.0)) == 3.5
-    assert barrier.analytic_center(BlockDomain.unit_interval02()) == 1.0
     with pytest.raises(DomainError):
         barrier.analytic_center(BlockDomain.half_line())
 

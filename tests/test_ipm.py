@@ -267,12 +267,10 @@ def test_infeasible_shapes_rejected():
 
 
 def _assert_sound(inst, sol, rep, eps):
-    # The returned triple is stationary, and x meets the equality-residual
-    # and tau bounds of the restriction.
+    # The returned triple is stationary, and x meets the equality-residual bound.
     assert rep.stationarity <= 1e-8 * max(1.0, inst.L)
     bound = 3 * eps * (inst.R * np.abs(inst.A).sum() + np.abs(inst.b).sum())
     assert sol.report["primal_residual_l1"] <= bound
-    assert sol.report["tau"] <= 3 * eps
 
 
 def _assert_matches_oracle(inst, sol, eps):
@@ -322,6 +320,30 @@ def test_returned_triple_is_stationary(rng, backend, step):
     assert sol.report["backend"] == step
     rep = oracle.kkt_residuals(inst, sol.x, sol.s, sol.y)
     assert rep.stationarity <= 1e-8 * max(1.0, inst.L)
+
+
+@pytest.mark.parametrize("backend,step", [("dense", "dense"), ("auto", "woodbury")])
+def test_practical_solve_never_augments(rng, monkeypatch, backend, step):
+    # Practical mode solves the caller's instance: no tau coordinate, no
+    # eps*rho-scaled copy, nothing to restrict.
+    def refuse(*args, **kwargs):
+        raise AssertionError("practical solve built the augmented instance")
+    monkeypatch.setattr(model, "augment_for_initial_point", refuse)
+    monkeypatch.setattr(model, "restrict_solution", refuse)
+    inst = random_lowrank_instance(rng, n=20, k=3, m=2)
+    sol = ipm.solve(inst, 1e-3, backend=backend)
+    assert sol.report["backend"] == step
+    assert "tau" not in sol.report
+    assert sol.report["duality_gap"] <= sol.report["error_budget"]
+
+
+def test_woodbury_practical_never_forms_q(rng, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the Woodbury step formed the n x n Q")
+    monkeypatch.setattr(model.QPInstance, "q_dense", refuse)
+    sol = ipm.solve(random_lowrank_instance(rng, n=400, k=3, m=2), 1e-3)
+    assert sol.report["backend"] == "woodbury"
+    assert sol.report["duality_gap"] <= sol.report["error_budget"]
 
 
 @pytest.mark.parametrize("n", [256, 1024, 2048])

@@ -120,10 +120,10 @@ def test_augmented_objective_scales_feasible_points(rng):
 def test_restrict_identity():
     inst = build_qp_instance(c=[0.0], A=None, b=[], blocks=[BlockDomain.box(0, 2)])
     aug, x0, _ = model.augment_for_initial_point(inst, 0.25)
-    x, report = model.restrict_solution(aug, x0)
-    assert np.allclose(x, [1.0])
-    assert report.tau == 1.0
-    assert report.primal_residual_l1 == 0.0
+    x = model.restrict_solution(aug, x0)
+    assert x.shape == (1,)
+    assert x[0] == 1.0
+    assert inst.primal_residual_l1(x) == 0.0
 
 
 def test_restrict_after_solve_feasibility(rng):
@@ -132,7 +132,21 @@ def test_restrict_after_solve_feasibility(rng):
     sol = ipm.solve(inst, eps, backend="dense")
     bound = 3 * eps * (inst.R * np.abs(inst.A).sum() + np.abs(inst.b).sum())
     assert sol.report["primal_residual_l1"] <= bound
-    assert sol.report["tau"] <= 3 * eps
+
+
+def test_build_leaves_caller_arrays_writable():
+    # The instance keeps read-only views; the caller's own arrays keep their flags.
+    c = np.array([1.0, -1.0])
+    A = np.array([[1.0, 1.0]])
+    U = np.array([[1.0], [0.5]])
+    inst = build_qp_instance(c=c, A=A, b=[1.0], blocks=[BlockDomain.box(0, 2)] * 2,
+                             U=U, V=U)
+    assert c.flags.writeable and A.flags.writeable and U.flags.writeable
+    assert not (inst.c.flags.writeable or inst.A.flags.writeable
+                or inst.U.flags.writeable or inst.V.flags.writeable)
+    c[0] = 5.0
+    with pytest.raises(ValueError):
+        inst.c[0] = 5.0
 
 
 _FINITE_DATA = dict(c=[1.0, -1.0], A=[[1.0, 1.0]], b=[1.0], U=[[1.0], [0.5]],

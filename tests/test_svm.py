@@ -147,6 +147,33 @@ def test_svm_equality_residual_bound():
     assert abs(float(mdl.alpha @ y)) <= 3 * eps_solve
 
 
+def test_linear_factors_share_one_array(rng):
+    # The linear kernel's U and V are one array: the caller's X for one-class,
+    # one label-scaled copy for classification.  The caller's X stays writable.
+    X = rng.normal(size=(12, 3))
+    inst = reduce_to_qp(SvmSpec(X=X, variant="one-class", nu=0.5)).instance
+    assert np.shares_memory(inst.U, inst.V)
+    assert np.shares_memory(inst.U, X) and X.flags.writeable
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    inst = reduce_to_qp(SvmSpec(X=X, y=y, variant="c-svc")).instance
+    assert np.shares_memory(inst.U, inst.V)
+    assert np.allclose(inst.q_dense(), np.outer(y, y) * (X @ X.T), rtol=1e-12, atol=1e-12)
+
+
+def test_linear_c_svc_iterations_at_n_10k():
+    # Linear c-SVC, d = 10, two clusters offset +-0.8 per coordinate, C = 1,
+    # trained by the practical solver on the reduced instance itself.
+    rng = np.random.default_rng(0)
+    n = 10_000
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    X = rng.normal(size=(n, 10)) + 0.8 * y[:, None]
+    rep = train(SvmSpec(X=X, y=y, variant="c-svc", C=1.0), eps_solve=1e-3).solve_report
+    assert rep["backend"] == "woodbury"
+    assert rep["iterations"] <= 45
+    assert rep["duality_gap"] <= rep["error_budget"]
+    assert rep["equality_residual_l1"] <= 1e-9
+
+
 def test_gaussian_two_point_accuracy():
     spec = SvmSpec(X=TWO_POINT_X, y=TWO_POINT_Y, variant="c-svc", C=5.0,
                    kernel="gaussian")
