@@ -50,7 +50,8 @@ def _jsonable(obj):
 
 
 def _write_report(report, path):
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    # Compact: json uses its C encoder only when indent is None.
+    text = json.dumps(_jsonable(report), sort_keys=True)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -21,6 +21,12 @@ from .exceptions import SolverError, ValidationError
 _DENSE_CAP = 2000
 # Largest relative KKT residual accepted from the Schur complement step.
 _SCHUR_RTOL = 1e-10
+# Newton decrement that ends a barrier stage.  Only the last stage, whose
+# point is returned, is centred tightly; an earlier one only warm-starts the
+# next.  (Growing t by 100 per stage instead of 10 stalls the line search
+# near t = 5e10 on about 1 in 250 of the qp-maintained-n32 instances.)
+_STAGE_DECREMENT = 1e-2
+_FINAL_DECREMENT = 1e-7
 
 
 @dataclass
@@ -141,12 +147,12 @@ def _kkt_step(Hmat, A, r_dual, r_pri):
     return sol[:n], sol[n:]
 
 
-def _newton_stage(inst, x, nu, t_o, max_iter=80):
+def _newton_stage(inst, x, nu, t_o, decrement_tol, max_iter=80):
     """Infeasible-start damped Newton for min t_o f(x) + phi_w(x) s.t. Ax = b.
 
-    Stops on a small Newton decrement (affine invariant) once primal
-    feasibility is tight; tolerates a stall at decrement <= 1e-3, which only
-    costs a (1 + decrement) factor in the certified gap.
+    Stops once primal feasibility is tight and the Newton decrement (affine
+    invariant) is at most decrement_tol; tolerates a stall at decrement
+    <= 0.25, which only costs a (1 + decrement) factor in the certified gap.
     """
     m = inst.m
     Q = inst.q_dense()
@@ -170,7 +176,7 @@ def _newton_stage(inst, x, nu, t_o, max_iter=80):
                 dx, dnu = _kkt_step(Hmat, inst.A, r_dual, r_pri)
         decrement = math.sqrt(max(float(dx @ (Hmat @ dx)), 0.0))
         feasible = float(np.linalg.norm(r_pri)) <= 1e-10 * b_scale
-        if feasible and decrement <= 1e-7:
+        if feasible and decrement <= decrement_tol:
             return x, nu, decrement
         step = _boundary_cap(inst, x, dx)
         improved = False
@@ -205,7 +211,8 @@ def dense_solve_qp(inst: model.QPInstance, tol=1e-9):
     """High-accuracy reference solution; returns (x, s, y, KktReport).
 
     Follows the increasing-t barrier path until the certified gap
-    kappa / t_o drops below tol (absolute, in objective units).
+    kappa / t_o drops below tol (absolute, in objective units), centring
+    loosely at every stage but the last.
     """
     if inst.n > _DENSE_CAP:
         raise ValidationError(f"oracle cap is n <= {_DENSE_CAP}, got {inst.n}")
@@ -223,12 +230,15 @@ def dense_solve_qp(inst: model.QPInstance, tol=1e-9):
             x = x_proj
         except Exception:
             pass
+    t_end = kappa / tol
     t_o = max(1.0, kappa / max(abs(inst.objective(x)), 1.0))
     for _ in range(200):
-        x, nu, _ = _newton_stage(inst, x, nu, t_o)
-        if kappa / t_o <= tol:
+        last = t_o >= t_end
+        x, nu, _ = _newton_stage(inst, x, nu, t_o,
+                                 _FINAL_DECREMENT if last else _STAGE_DECREMENT)
+        if last:
             break
-        t_o *= 10.0
+        t_o = min(10.0 * t_o, t_end)
     else:
         raise SolverError("oracle barrier path did not reach the gap target")
     g = barrier.grad_vec(inst.lo, inst.hi, x)

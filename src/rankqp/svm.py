@@ -171,13 +171,32 @@ def _dual_coef(spec, alpha):
     return -(alpha[:n] - alpha[n:])
 
 
-def _kernel_cross(spec, Xq):
-    """Exact K(train, query)."""
-    if spec.kernel == "linear":
-        return spec.X @ Xq.T
-    d2 = (np.sum(spec.X**2, axis=1)[:, None] + np.sum(Xq**2, axis=1)[None, :]
-          - 2.0 * spec.X @ Xq.T)
-    return np.exp(-np.maximum(d2, 0.0))
+# Kernel entries per query block of the decision function (512 KiB of float64).
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _decision_sum(spec, coef, Xq):
+    """coef @ K(train, Xq) for the exact kernel, one block of query columns
+    at a time, so that no n_train x n_query array is formed."""
+    X = spec.X
+    gaussian = spec.kernel == "gaussian"
+    if gaussian:
+        sq = np.sum(X**2, axis=1)[:, None]
+        sq_q = np.sum(Xq**2, axis=1)
+    out = np.empty(Xq.shape[0])
+    step = max(1, _BLOCK_ENTRIES // max(X.shape[0], 1))
+    for i in range(0, Xq.shape[0], step):
+        cols = slice(i, i + step)
+        K = X @ Xq[cols].T
+        if gaussian:
+            # exp(-max(|x|^2 + |q|^2 - 2 x'q, 0)), in place
+            K *= -2.0
+            K += sq + sq_q[None, cols]
+            np.maximum(K, 0.0, out=K)
+            np.negative(K, out=K)
+            np.exp(K, out=K)
+        out[cols] = coef @ K
+    return out
 
 
 def recover_primal(alpha, spec: SvmSpec, y_eq):
@@ -243,16 +262,20 @@ def _outer_radius_estimate(spec):
 def predict(mdl: SvmModel, Xq):
     """Decision values and labels for query points.
 
-    The decision evaluates the exact kernel against the training rows, so
-    Gaussian predictions carry no factorization error at any query.
-    Classification and one-class return sign labels; regression returns the
-    fitted values as labels.
+    The decision evaluates the exact kernel against every training row, so
+    Gaussian predictions carry no factorization error at any query.  It is
+    summed one block of queries at a time (_BLOCK_ENTRIES kernel entries),
+    so memory stays flat in the number of queries.  Query points must be
+    finite (ValidationError otherwise).  Classification and one-class
+    return sign labels; regression returns the fitted values as labels.
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     if Xq.shape[1] != mdl.spec.X.shape[1]:
         raise ValidationError(
             f"query dimension {Xq.shape[1]} != training dimension {mdl.spec.X.shape[1]}")
-    f_nb = _dual_coef(mdl.spec, mdl.alpha) @ _kernel_cross(mdl.spec, Xq)
+    if not np.all(np.isfinite(Xq)):
+        raise ValidationError("query points have non-finite entries")
+    f_nb = _decision_sum(mdl.spec, _dual_coef(mdl.spec, mdl.alpha), Xq)
     if mdl.spec.variant in _CLASSIFICATION or mdl.spec.variant == "one-class":
         dec = f_nb - mdl.bias
         return dec, np.sign(dec)

@@ -185,6 +185,14 @@ def test_predict_feature_width(gaussian_model, tmp_path):
     assert _load(report)["labels"] == [1.0, -1.0]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_predict_non_finite_query_exits_2(gaussian_model, tmp_path, capsys, value):
+    data = tmp_path / "bad.svm"
+    data.write_text(f"-1 1:0.5\n+1 1:{value}\n")
+    assert cli_run(["predict", str(data), "--model", str(gaussian_model)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("header", ["rankqp-svm-model 1", "garbage"])
 def test_model_header_rejected(gaussian_model, two_point_data, header):
     lines = gaussian_model.read_text().splitlines()

@@ -18,7 +18,7 @@ def test_basic_line():
 def test_label_only_line():
     ds = parse_libsvm_lines(["-1"])
     assert ds.y[0] == -1.0
-    assert ds.rows[0][0].size == 0
+    assert ds.indptr.tolist() == [0, 0]
 
 
 def test_comments_and_blanks():
@@ -46,6 +46,12 @@ def test_malformed_tokens(bad):
         parse_libsvm_lines([bad])
 
 
+def test_index_beyond_int64_rejected():
+    with pytest.raises(ParseError, match="out of range") as err:
+        parse_libsvm_lines(["+1 1:1", "-1 1:1 99999999999999999999:2"])
+    assert err.value.line == 2
+
+
 def test_round_trip_small(rng):
     X = rng.normal(size=(10, 5))
     X[rng.random(size=X.shape) < 0.4] = 0.0
@@ -71,3 +77,111 @@ def test_round_trip_corpus_bit_exact(rng, tmp_path):
     assert emit_libsvm_lines(parsed) == emit_libsvm_lines(ds)
     text2 = "\n".join(emit_libsvm_lines(parsed)) + "\n"
     assert text2 == open(path).read()
+
+
+# -- differential test against a line-at-a-time reference ---------------------
+
+def _reference_parse(lines):
+    """The grammar one token at a time with float() and int(): (X, y, d)."""
+    rows, labels, d = [], [], 0
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        try:
+            labels.append(float(tokens[0]))
+        except ValueError:
+            raise ParseError(f"unparsable label {tokens[0]!r}", line=lineno) from None
+        row, prev = {}, 0
+        for tok in tokens[1:]:
+            if ":" not in tok:
+                raise ParseError(f"expected index:value, got {tok!r}", line=lineno)
+            si, sv = tok.split(":", 1)
+            try:
+                i = int(si)
+            except ValueError:
+                raise ParseError(f"unparsable index {si!r}", line=lineno) from None
+            try:
+                row[i] = float(sv)
+            except ValueError:
+                raise ParseError(f"unparsable value {sv!r}", line=lineno) from None
+            if i <= prev:
+                raise ParseError(f"non-increasing index {i} after {prev}", line=lineno)
+            prev = i
+        rows.append(row)
+        d = max(d, prev)
+    X = np.zeros((len(rows), d))
+    for r, row in enumerate(rows):
+        for i, v in row.items():
+            X[r, i - 1] = v
+    return X, np.array(labels), d
+
+
+_LABELS = ["+1", "-1", "0.25", "1_0", "nan", "inf", "+3", ".5", "١", "x", "1:2"]
+_VALUES = ["0.5", "-2", "1e3", "nan", "-inf", "1_0", "+3", ".5", "-0", "z", ""]
+_BAD_PAIRS = ["12", "1:2:3", ":5", "5:", "0:3", "3.0:1", "1e2:1", "a:1"]
+_SEPS = [" ", "\t", "  ", " \t "]
+
+
+def _fuzz_line(rng):
+    kind = rng.integers(8)
+    if kind == 0:
+        return rng.choice(["", "   ", "\t", "# only a comment"])
+    tokens = [str(rng.choice(_LABELS[:9] if rng.random() < 0.95 else _LABELS))]
+    idx = np.sort(rng.choice(np.arange(1, 15), size=rng.integers(0, 6), replace=False))
+    for i in idx:
+        istr = "1_0" if i == 10 and rng.random() < 0.3 else ("+3" if i == 3 else str(i))
+        value = _VALUES[rng.integers(len(_VALUES) - 2 if rng.random() < 0.97 else len(_VALUES))]
+        tokens.append(f"{istr}:{value}")
+    for _ in range(rng.integers(1, 3) if kind == 1 else 0):
+        tokens.insert(int(rng.integers(1, len(tokens) + 1)), str(rng.choice(_BAD_PAIRS)))
+    if kind == 2 and len(tokens) > 2:
+        tokens[1], tokens[2] = tokens[2], tokens[1]
+    line = "".join(tok + str(rng.choice(_SEPS)) for tok in tokens).rstrip()
+    if rng.random() < 0.2:
+        line = str(rng.choice(_SEPS)) + line
+    if rng.random() < 0.2:
+        line += " # trailing 1:2"
+    return line
+
+
+def _outcome(parse, arg):
+    """("ok", X, y, d) or ("error", message, line)."""
+    try:
+        out = parse(arg)
+    except ParseError as err:
+        return "error", str(err), err.line
+    if isinstance(out, Dataset):
+        out = (out.to_dense(), out.y, out.d)
+    return ("ok", *out)
+
+
+def _assert_same(got, want):
+    assert got[0] == want[0], (got, want)
+    if want[0] == "error":
+        assert got == want
+    else:
+        assert got[3] == want[3]
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+        assert np.array_equal(got[2], want[2], equal_nan=True)
+
+
+def test_parser_matches_line_reference_on_fuzzed_corpus(tmp_path):
+    rng = np.random.default_rng(4242)
+    # Hand-written traps first: colon counts that balance across tokens.
+    docs = [[], ["+1 1:2:3 12"], ["+1 12 1:2:3"], ["+1 1:2:3", "-1 12"],
+            ["-1 3:1 1:2:3 7"], ["+1 :5 5:"], ["+1 1_0:1 +3:2"]]
+    docs += [[_fuzz_line(rng) for _ in range(rng.integers(1, 9))] for _ in range(600)]
+    n_errors = 0
+    for k, lines in enumerate(docs):
+        end = "\r\n" if k % 2 else "\n"
+        raw = [ln + end for ln in lines]  # as from a file opened with newline=""
+        want = _outcome(_reference_parse, raw)
+        n_errors += want[0] == "error"
+        _assert_same(_outcome(parse_libsvm_lines, raw), want)
+        path = tmp_path / f"doc{k}.svm"
+        path.write_bytes("".join(raw).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            want = _outcome(_reference_parse, list(fh))
+        _assert_same(_outcome(parse_libsvm, path), want)
+    assert 100 <= n_errors <= 500  # both outcomes are well represented

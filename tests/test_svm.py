@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from rankqp import kernel
 from rankqp.exceptions import ValidationError
 from rankqp.cli import cli_run
 from rankqp.libsvm_io import Dataset, emit_libsvm
-from rankqp.svm import SvmSpec, predict, reduce_to_qp, train
+from rankqp.svm import SvmModel, SvmSpec, predict, reduce_to_qp, train
 
 TWO_POINT_X = np.array([[1.0, 0.0], [-1.0, 0.0]])
 TWO_POINT_Y = np.array([1.0, -1.0])
@@ -233,6 +235,25 @@ def test_predict_dimension_mismatch():
     mdl = train(spec, eps_solve=1e-2)
     with pytest.raises(ValidationError):
         predict(mdl, np.zeros((1, 3)))
+
+
+def test_predict_never_forms_the_full_kernel(rng):
+    # One full 300 x 20 000 float64 kernel would be 48 MB; allow an eighth.
+    n, n_query = 300, 20_000
+    spec = SvmSpec(X=rng.normal(size=(n, 4)), y=rng.choice([-1.0, 1.0], size=n),
+                   variant="c-svc", kernel="gaussian")
+    mdl = SvmModel(spec=spec, alpha=rng.uniform(size=n), bias=0.1)
+    Xq = rng.normal(size=(n_query, 4))
+    tracemalloc.start()
+    try:
+        dec, _ = predict(mdl, Xq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n_query / 8
+    d2 = np.sum((spec.X[:, None, :] - Xq[None, :50, :]) ** 2, axis=2)
+    assert np.allclose(dec[:50], (mdl.alpha * spec.y) @ np.exp(-d2) - mdl.bias,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_complementary_slackness_separable(rng):
