@@ -210,8 +210,10 @@ def _cmd_verify(args):
 def _cmd_predict(args):
     mdl = load_model(args.model)
     ds = parse_libsvm(args.data)
-    X = ds.to_dense()
     d = mdl.spec.X.shape[1]
+    if ds.d > d:
+        raise ValidationError(f"query dimension {ds.d} != training dimension {d}")
+    X = ds.to_dense()
     if X.shape[1] < d:
         # LIBSVM omits zero features, so trailing columns may be absent.
         X = np.hstack([X, np.zeros((X.shape[0], d - X.shape[1]))])

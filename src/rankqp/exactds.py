@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import barrier
 from .exceptions import SolverError

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import barrier, exactds, model, oracle
 from .exceptions import InvariantViolation, SolverError, ValidationError

@@ -212,6 +212,22 @@ def _column_magnitude(F):
     return np.maximum(F.max(axis=0), -F.min(axis=0))
 
 
+def _compact_columns(F, keep):
+    """The columns of F where ``keep`` holds, moved to the front of F's own
+    buffer (F is Fortran-ordered) and returned as a view of it.  A run of
+    kept columns is one contiguous block, moved by one forward copy, which is
+    safe while it overlaps its source because it only moves down."""
+    n = F.shape[0]
+    flat = F.reshape(-1, order="F")
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], keep.astype(np.int8), [0]))))
+    dst = 0
+    for start, stop in zip(edges[::2], edges[1::2]):
+        if start != dst:
+            flat[dst * n:(dst + stop - start) * n] = flat[start * n:stop * n]
+        dst += stop - start
+    return flat[:dst * n].reshape((n, dst), order="F")
+
+
 def gaussian_lowrank_factor(X, eps, byte_cap=_FACTOR_BYTES_CAP):
     """Factor the Gaussian kernel of X so that ||Kv - UV'v||_inf <= eps ||v||_1.
 
@@ -253,7 +269,7 @@ def gaussian_lowrank_factor(X, eps, byte_cap=_FACTOR_BYTES_CAP):
         slack = float(colmag[prune].sum())
     keep = ~prune
     if prune.any():
-        U, V = U[:, keep], V[:, keep]
+        U, V = _compact_columns(U, keep), _compact_columns(V, keep)
     kept_index = tuple(ix for ix, k in zip(index, keep) if k)
     return KernelFactorization(U=U, V=V, degree=q,
                                rank=int(keep.sum()), radius=B, epsilon=eps,
@@ -276,16 +292,22 @@ def feature_map(fact: KernelFactorization, Xq, side="v"):
     (full,), index = _feature_blocks(Xq - fact.shift, fact.degree, fact.coeffs, (side,))
     if len(index) == fact.rank:  # nothing was pruned
         return full
-    pos = {ix: i for i, ix in enumerate(index)}
-    return full[:, [pos[ix] for ix in fact.column_index]]
+    kept = set(fact.column_index)
+    return _compact_columns(full, np.array([ix in kept for ix in index]))
 
 
-def scale_by_labels(U, V, y):
+def scale_by_labels(U, V, y, in_place=False):
     """Row-scale both factors by +-1 labels: (D_y U)(D_y V)' = (UV') o (yy').
 
-    A symmetric factorization (V is U) is scaled once and shared."""
+    A symmetric factorization (V is U) is scaled once and shared.  With
+    ``in_place`` the rows of U and V themselves are scaled, for a factor that
+    no one else holds; otherwise the scaled factors are new arrays."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.abs(y) == 1.0):
         raise ValidationError("labels must be +1 or -1")
-    yU = y[:, None] * U
-    return yU, (yU if V is U else y[:, None] * V)
+    if not in_place:
+        yU = y[:, None] * U
+        return yU, (yU if V is U else y[:, None] * V)
+    for F in (U,) if V is U else (U, V):
+        F *= y[:, None]
+    return U, V

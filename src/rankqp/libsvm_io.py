@@ -20,7 +20,8 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import InvariantViolation, ParseError
+from .exceptions import InvariantViolation, ParseError, ValidationError
+from .kernel import _FACTOR_BYTES_CAP
 
 _COLON, _SPACE = ord(":"), ord(" ")
 
@@ -38,6 +39,13 @@ class Dataset:
         return self.y.size
 
     def to_dense(self):
+        """The n x d float64 matrix; refused (ValidationError) when it would
+        need more bytes than the kernel factor's cap."""
+        if 8 * self.n * self.d > _FACTOR_BYTES_CAP:
+            raise ValidationError(
+                f"a dense {self.n} x {self.d} data matrix needs {8 * self.n * self.d} "
+                f"bytes, over the cap of {_FACTOR_BYTES_CAP} bytes (d is the largest "
+                "feature index in the file)")
         X = np.zeros((self.n, self.d))
         X[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.values
         return X

@@ -23,8 +23,9 @@ _SYM_TOL = 1e-10
 
 
 def _freeze(a):
-    # A read-only view: the caller's own array keeps its flags.
-    a = np.ascontiguousarray(a, dtype=float).view()
+    # A read-only view in the array's own layout: the caller's array keeps
+    # its flags, and no copy is made.
+    a = np.asarray(a, dtype=float).view()
     a.setflags(write=False)
     return a
 

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import barrier, model
 from .exceptions import SolverError, ValidationError

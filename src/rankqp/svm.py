@@ -82,19 +82,25 @@ def _kernel_factors(spec: SvmSpec, eps_factor):
 class ReducedQP:
     instance: model.QPInstance
     maximization: bool
-    factorization: object = None   # KernelFactorization or None for linear
+    factor_report: dict = None     # Gaussian factor's degree, rank and errors; None for linear
     dim: int = 0
 
 
 def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
-    """Transcribe the variant into the solver's minimization form."""
+    """Transcribe the variant into the solver's minimization form.
+
+    A Gaussian factor is built for this call alone, so classification scales
+    its rows by the labels in place and the instance holds the only copy;
+    the linear kernel's factor is the caller's X, which gets one scaled
+    copy shared by U and V."""
     n = spec.X.shape[0]
     U, V, fact = _kernel_factors(spec, eps_factor)
     ones = np.ones(n)
-    trace_bound = float(np.sum(U * V))  # trace(UV'); equals trace(K) up to eps
+    # trace(UV') without an n x k temporary; equals trace(K) up to eps
+    trace_bound = float(np.einsum("ij,ij->", U, V))
 
     if spec.variant in _CLASSIFICATION:
-        U, V = kernel.scale_by_labels(U, V, spec.y)
+        U, V = kernel.scale_by_labels(U, V, spec.y, in_place=fact is not None)
 
     if spec.variant in ("hard", "c-svc"):
         cap = spec.C if spec.variant == "c-svc" else (spec.box_cap or 10.0 * n)
@@ -141,8 +147,11 @@ def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
     r = float(caps.min()) / 4.0
     L = max(float(np.linalg.norm(p)), abs(trace_bound) * 1.05, 1.0)
     inst = model.build_qp_instance(p, A, b, boxes, R=R, r=r, L=L, U=U, V=V)
+    factor_report = None if fact is None else {
+        "degree": fact.degree, "rank": fact.rank,
+        "sup_error": fact.sup_error, "prune_slack": fact.prune_slack}
     return ReducedQP(instance=inst, maximization=maximization,
-                     factorization=fact, dim=inst.n)
+                     factor_report=factor_report, dim=inst.n)
 
 
 @dataclass
@@ -151,7 +160,6 @@ class SvmModel:
     alpha: np.ndarray
     bias: float
     w: np.ndarray = None           # primal normal vector, linear kernel only
-    factorization: object = None
     dual_objective: float = 0.0
     solve_report: dict = field(default_factory=dict)
 
@@ -214,13 +222,18 @@ def recover_primal(alpha, spec: SvmSpec, y_eq):
 def train(spec: SvmSpec, eps_solve=1e-4, mode="practical", backend="auto", seed=0):
     """Train to additive dual-objective error eps_solve against the exact
     optimum of the reduced program (Gaussian kernels add the certified
-    entrywise kernel error on top)."""
+    entrywise kernel error on top).
+
+    The factor's entrywise target eps_solve / (n R^2) is clamped into
+    [1e-12, 1e-3]; the report gives the target ("kernel_eps_target") beside
+    the tolerance the factor was built to ("kernel_eps")."""
     n = spec.X.shape[0]
     if spec.kernel == "gaussian":
         R_est = _outer_radius_estimate(spec)
-        eps1 = min(max(eps_solve / (max(n, 2) * R_est**2), 1e-12), 1e-3)
+        target = eps_solve / (max(n, 2) * R_est**2)
+        eps1 = min(max(target, 1e-12), 1e-3)
     else:
-        eps1 = None
+        target = eps1 = None
     red = reduce_to_qp(spec, eps_factor=eps1)
     inst = red.instance
     eps_qp = min(0.5, eps_solve / (inst.L * inst.R * (inst.R + 1.0)))
@@ -235,13 +248,13 @@ def train(spec: SvmSpec, eps_solve=1e-4, mode="practical", backend="auto", seed=
     report = dict(sol.report)
     report.update({"dual_objective": dual_obj, "variant": spec.variant,
                    "kernel": spec.kernel, "eps_solve": eps_solve,
-                   "kernel_eps": eps1,
+                   "kernel_eps": eps1, "kernel_eps_target": target,
+                   "kernel_factor": red.factor_report,
                    "equality_residual_l1": inst.primal_residual_l1(alpha),
                    "kkt": {"stationarity": kkt.stationarity,
                            "primal_residual_l1": kkt.primal_residual_l1,
                            "duality_gap": kkt.duality_gap}})
-    return SvmModel(spec=spec, alpha=alpha, bias=b, w=w,
-                    factorization=red.factorization, dual_objective=dual_obj,
+    return SvmModel(spec=spec, alpha=alpha, bias=b, w=w, dual_objective=dual_obj,
                     solve_report=report)
 
 

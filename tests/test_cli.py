@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rankqp
 from rankqp import svm
 from rankqp.cli import cli_run, dump_model
 from rankqp.libsvm_io import Dataset, emit_libsvm
@@ -191,6 +195,31 @@ def test_predict_non_finite_query_exits_2(gaussian_model, tmp_path, capsys, valu
     data.write_text(f"-1 1:0.5\n+1 1:{value}\n")
     assert cli_run(["predict", str(data), "--model", str(gaussian_model)]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "train-svm", "factor-kernel"])
+def test_huge_feature_index_exits_2(gaussian_model, tmp_path, capsys, command):
+    # Index 10^12 would make a dense 1 x 10^12 matrix (7.28 TiB); it is
+    # refused before anything that size is allocated.
+    data = tmp_path / "huge.svm"
+    data.write_text("+1 1:1 1000000000000:2\n")
+    argv = [command, str(data)]
+    if command == "predict":
+        argv += ["--model", str(gaussian_model)]
+    assert cli_run(argv) == 2
+    assert "1000000000000" in capsys.readouterr().err
+
+
+def test_cli_start_defers_scipy_linalg(gaussian_model, two_point_data):
+    # scipy.linalg loads on first use: importing the CLI and running predict,
+    # which solves nothing, never import it.
+    code = ("import sys, rankqp.cli\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "rc = rankqp.cli.cli_run(['predict', sys.argv[1], '--model', sys.argv[2]])\n"
+            "assert rc == 0 and 'scipy.linalg' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rankqp.__file__)))
+    subprocess.run([sys.executable, "-c", code, two_point_data, str(gaussian_model)],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
 
 
 @pytest.mark.parametrize("header", ["rankqp-svm-model 1", "garbage"])

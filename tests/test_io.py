@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rankqp.exceptions import ParseError
+from rankqp.exceptions import ParseError, ValidationError
 from rankqp.libsvm_io import (Dataset, emit_libsvm_lines, parse_libsvm,
                               parse_libsvm_lines)
 
@@ -50,6 +50,14 @@ def test_index_beyond_int64_rejected():
     with pytest.raises(ParseError, match="out of range") as err:
         parse_libsvm_lines(["+1 1:1", "-1 1:1 99999999999999999999:2"])
     assert err.value.line == 2
+
+
+def test_to_dense_refuses_huge_width():
+    # The index fits int64, but a dense 2 x 10^12 matrix does not fit the
+    # byte cap; the refusal names both dimensions.
+    ds = parse_libsvm_lines(["+1 1:1 1000000000000:2", "-1 2:1"])
+    with pytest.raises(ValidationError, match="2 x 1000000000000"):
+        ds.to_dense()
 
 
 def test_round_trip_small(rng):

@@ -149,6 +149,20 @@ def test_build_leaves_caller_arrays_writable():
         inst.c[0] = 5.0
 
 
+def test_build_shares_fortran_ordered_factors():
+    # Factors are kept in their own layout: an F-ordered U and V become
+    # read-only views of the caller's memory, which stays writable.
+    rng = np.random.default_rng(3)
+    U = np.asfortranarray(rng.normal(size=(6, 4)))
+    V = np.asfortranarray(rng.normal(size=(6, 4)))
+    inst = build_qp_instance(c=np.zeros(6), A=None, b=None,
+                             blocks=[BlockDomain.box(0, 1)] * 6, U=U, V=V)
+    assert np.shares_memory(inst.U, U) and np.shares_memory(inst.V, V)
+    assert inst.U.flags.f_contiguous and not inst.U.flags.writeable
+    assert U.flags.writeable and V.flags.writeable
+    assert np.array_equal(inst.q_dense(), U @ V.T)
+
+
 _FINITE_DATA = dict(c=[1.0, -1.0], A=[[1.0, 1.0]], b=[1.0], U=[[1.0], [0.5]],
                     V=[[1.0], [0.5]], weights=[1.0, 2.0])
 

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,47 @@ def test_linear_factors_share_one_array(rng):
     assert np.allclose(inst.q_dense(), np.outer(y, y) * (X @ X.T), rtol=1e-12, atol=1e-12)
 
 
+def test_gaussian_training_holds_one_factor():
+    # One Gaussian c-SVC training on the svm-gaussian-cli recipe (two
+    # clusters in 4 dimensions, squared radius 3.9, C = 5) allocates little
+    # beyond the one label-scaled U and V that its instance holds.
+    rng = np.random.default_rng(7)
+    n = 120
+    y = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    X = rng.normal(size=(n, 4)) * 0.15
+    X[:, 0] += 0.8 * y
+    d2 = np.sum(X * X, axis=1)
+    X *= np.sqrt(3.9 / float((d2[:, None] + d2[None, :] - 2.0 * (X @ X.T)).max()))
+    spec = SvmSpec(X=X, y=y, variant="c-svc", C=5.0, kernel="gaussian")
+    importlib.import_module("scipy.linalg")  # loaded on first use; not counted here
+    tracemalloc.start()
+    try:
+        rep = train(spec, eps_solve=1e-4).solve_report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rank = rep["kernel_factor"]["rank"]
+    assert rank > n
+    assert peak <= 1.5 * (16 * n * rank)  # U.nbytes + V.nbytes
+
+
+def test_kernel_eps_clamp_is_reported():
+    # At C = 1e4 the factor's target eps_solve / (n R^2) falls below the
+    # 1e-12 floor; the report gives both the target and the applied value.
+    X = np.array([[0.0, 0.0], [0.3, 0.1], [1.0, 1.0], [0.9, 1.2]])
+    y = np.array([1.0, 1.0, -1.0, -1.0])
+    rep = train(SvmSpec(X=X, y=y, variant="c-svc", C=1e4, kernel="gaussian"),
+                eps_solve=1e-4).solve_report
+    assert rep["kernel_eps_target"] == pytest.approx(1e-4 / (4 * 1e8 * 4))
+    assert rep["kernel_eps"] == 1e-12
+    factor = rep["kernel_factor"]
+    assert factor["sup_error"] + factor["prune_slack"] <= 1e-12
+    assert factor["degree"] >= 1 and factor["rank"] >= 1
+    rep = train(SvmSpec(X=X, y=y, variant="c-svc", C=1.0), eps_solve=1e-4).solve_report
+    assert rep["kernel_eps"] is None and rep["kernel_eps_target"] is None
+    assert rep["kernel_factor"] is None
+
+
 def test_linear_c_svc_iterations_at_n_10k():
     # Linear c-SVC, d = 10, two clusters offset +-0.8 per coordinate, C = 1,
     # trained by the practical solver on the reduced instance itself.
@@ -297,7 +339,8 @@ def test_gaussian_error_chain(rng):
     eps1 = mdl.solve_report["kernel_eps"]
     K = kernel.exact_gaussian_kernel(X)
     Q = K * np.outer(y, y)
-    Qt = mdl.factorization.U @ mdl.factorization.V.T * np.outer(y, y)
+    fact = kernel.gaussian_lowrank_factor(X, eps1)
+    Qt = fact.U @ fact.V.T * np.outer(y, y)
     a = mdl.alpha
     diff = abs(0.5 * a @ (Q @ a) - 0.5 * a @ (Qt @ a))
     assert diff <= 0.5 * eps1 * n * float(a @ a) + 1e-14
