@@ -34,6 +34,7 @@ class CentralPathMaintenance:
         self.q = restart_threshold(inst.n, inst.k, inst.m)
         self._seed = seed
         self._restarts = 0
+        self._retired_ridge_uses = 0
         self._build(np.array(x, dtype=float), np.array(s, dtype=float), float(t))
 
     def _build(self, x, s, t):
@@ -52,6 +53,7 @@ class CentralPathMaintenance:
         if abs(self.exact.t_bar - t) > self.params.eps_t * self.exact.t_bar \
                 or self.ell > self.q:
             x, s = self.exact.output()
+            self._retired_ridge_uses += self.exact.ridge_uses
             self._build(x, s, t)
         betas = self.exact.move()
         dy = self.exact.last_dy.copy()
@@ -62,6 +64,11 @@ class CentralPathMaintenance:
 
     def output(self):
         return self.exact.output()
+
+    @property
+    def ridge_uses(self):
+        """Moves, over every rebuild, whose v1 solve needed a ridge."""
+        return self._retired_ridge_uses + self.exact.ridge_uses
 
     def gamma_guard(self):
         return float(np.max(self.exact.gamma / self.inst.w))
@@ -101,4 +108,5 @@ def centering_lowrank(inst: model.QPInstance, x, s, t_start, t_end,
         it += 1
     x_out, s_out = cpm.output()
     barrier.check_interior(inst.lo, inst.hi, x_out)
-    return ipm.CenteringResult(x=x_out, s=s_out, y=y, iterations=it, trace=trace)
+    return ipm.CenteringResult(x=x_out, s=s_out, y=y, iterations=it, trace=trace,
+                               ridge_uses=cpm.ridge_uses)

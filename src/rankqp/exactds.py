@@ -62,6 +62,12 @@ def woodbury_apply(h_diag, U, V, t, rhs):
     return woodbury_factor(h_diag, U, V, t)(rhs)
 
 
+def _row_dots(M, idx, b):
+    """``M[i] @ b`` for every i in idx: one dot per row, as the scalar reads
+    take it, where ``M[idx] @ b`` rounds differently."""
+    return np.matmul(M[idx][:, None, :], b[:, None])[:, 0, 0]
+
+
 @dataclass
 class UpdateDeltas:
     """Sparse changes emitted by ExactDS.update, consumed by the sketches.
@@ -125,6 +131,7 @@ class ExactDS:
         self.u5 = self.V.T @ (hinv * self.dmu_bar)
         self.u6 = self.V.T @ (hinv[:, None] * self.U)
         self.last_dy = np.zeros(self.m)
+        self.ridge_uses = 0  # Moves whose v1 solve needed a ridge
 
     # -- direction bookkeeping -------------------------------------------
 
@@ -171,13 +178,14 @@ class ExactDS:
         t = self.t_bar
         ainv = self.alpha_bar ** -0.5
         if self.k:
-            v0 = np.eye(self.k) + self.u6 / t
-            try:
-                v0_lu = scipy.linalg.lu_factor(v0)
-            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-                raise SolverError("singular v0 in Move") from exc
-            v0i_u5 = scipy.linalg.lu_solve(v0_lu, self.u5)
-            v0i_u2 = scipy.linalg.lu_solve(v0_lu, self.u2) if self.m else np.zeros((self.k, 0))
+            # LAPACK's getrf/getrs directly: what lu_factor/lu_solve call,
+            # without their per-call checks on k x k operands.
+            lapack = scipy.linalg.lapack
+            v0_lu, piv, info = lapack.dgetrf(np.eye(self.k) + self.u6 / t)
+            if info != 0 or not np.all(np.isfinite(v0_lu)):
+                raise SolverError("singular v0 in Move")
+            v0i_u5 = lapack.dgetrs(v0_lu, piv, self.u5)[0]
+            v0i_u2 = lapack.dgetrs(v0_lu, piv, self.u2)[0] if self.m else np.zeros((self.k, 0))
         else:
             v0i_u5 = np.zeros(0)
             v0i_u2 = np.zeros((0, self.m))
@@ -192,6 +200,7 @@ class ExactDS:
                     wvec = scipy.linalg.solve(v1 + reg * np.eye(self.m), v2)
                 except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
                     raise SolverError("singular v1 in Move") from exc
+                self.ridge_uses += 1
         else:
             wvec = np.zeros(0)
         self.beta_x += ainv
@@ -300,6 +309,18 @@ class ExactDS:
         return self.shat[i] + self.hp12[i] * (self.h[i] * self.beta_s
                                               + self.hhat[i] @ self.bhat_s
                                               + self.htil[i] @ self.btil_s)
+
+    def query_x_many(self, idx):
+        """``query_x(i)`` for every index in the integer array idx, bit for bit."""
+        return self.xhat[idx] + self.hm12[idx] * (self.h[idx] * self.beta_x
+                                                  + _row_dots(self.hhat, idx, self.bhat_x)
+                                                  + _row_dots(self.htil, idx, self.btil_x))
+
+    def query_s_many(self, idx):
+        """``query_s(i)`` for every index in the integer array idx, bit for bit."""
+        return self.shat[idx] + self.hp12[idx] * (self.h[idx] * self.beta_s
+                                                  + _row_dots(self.hhat, idx, self.bhat_s)
+                                                  + _row_dots(self.htil, idx, self.btil_s))
 
     def scaled_xhat(self):
         return self.hp12 * self.xhat

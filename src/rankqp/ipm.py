@@ -20,6 +20,7 @@ in either mode.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,16 +124,22 @@ def step_direction(mu, gamma, params: IpmParams, w):
     return -params.alpha * coef * mu
 
 
-def _solve_normal(G, rhs, context):
+def _solve_normal(G, rhs, context, counts=None):
+    """Solve with the positive semidefinite normal matrix G.  A numerically
+    singular G is retried once with a 1e-12 tr(G)/m ridge, and the retry is
+    counted in ``counts["ridge_uses"]``."""
     try:
         return scipy.linalg.solve(G, rhs, assume_a="pos")
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
         pass
     reg = 1e-12 * np.trace(G) / G.shape[0]
     try:
-        return scipy.linalg.solve(G + reg * np.eye(G.shape[0]), rhs, assume_a="pos")
+        sol = scipy.linalg.solve(G + reg * np.eye(G.shape[0]), rhs, assume_a="pos")
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise SolverError(f"{context}: normal matrix numerically singular") from exc
+    if counts is not None:
+        counts["ridge_uses"] += 1
+    return sol
 
 
 def factor_step_matrix(inst: model.QPInstance, d, backend="dense"):
@@ -156,20 +163,21 @@ def factor_step_matrix(inst: model.QPInstance, d, backend="dense"):
 
 
 def central_path_step(inst: model.QPInstance, x_bar, s_bar, t_bar, delta_mu,
-                      backend="dense"):
+                      backend="dense", counts=None):
     """One robust central path step (delta_x, delta_s, delta_y).
 
     With H = H_{w,xbar} and B = Q + t H:
         delta_x = t (B^-1 - B^-1 A'(A B^-1 A')^-1 A B^-1) delta_mu
         delta_s = t (delta_mu - H delta_x)
         delta_y solves  delta_s - Q delta_x - A' delta_y = 0.
+    A ridged normal solve is counted in ``counts["ridge_uses"]``.
     """
     hw = inst.w * barrier.hess_vec(inst.lo, inst.hi, x_bar)
     binv = factor_step_matrix(inst, t_bar * hw, backend)
     z = binv(delta_mu)
     if inst.m:
         BiAt = binv(inst.A.T)
-        xi = _solve_normal(inst.A @ BiAt, inst.A @ z, "central_path_step")
+        xi = _solve_normal(inst.A @ BiAt, inst.A @ z, "central_path_step", counts)
         dx = t_bar * (z - BiAt @ xi)
     else:
         xi = np.zeros(0)
@@ -186,6 +194,7 @@ class CenteringResult:
     y: np.ndarray
     iterations: int
     trace: list = field(default_factory=list)
+    ridge_uses: int = 0       # normal solves retried with a ridge (see _solve_normal)
 
 
 def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
@@ -206,6 +215,7 @@ def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
     t = t_bar = float(t_start)
     h = params.h
     phi_cap = log_cosh(params.lam / 64.0)
+    counts = Counter()
     trace = []
     it = 0
     while t > t_end:
@@ -221,7 +231,8 @@ def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
                 f"potential {phi:g} exceeds cosh(lam/64) at iteration {it}")
         delta_mu = step_direction(mu, gamma, params, inst.w)
         t = max((1.0 - h) * t, t_end)
-        dx, ds, dy = central_path_step(inst, x, s, t_bar, delta_mu, backend=backend)
+        dx, ds, dy = central_path_step(inst, x, s, t_bar, delta_mu, backend=backend,
+                                       counts=counts)
         if collect_trace:
             metric = barrier.metric_at(inst.lo, inst.hi, inst.w, x)
             eq_resid = float(np.abs(inst.A @ dx).max()) if inst.m else 0.0
@@ -241,7 +252,8 @@ def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
         s += ds
         y += dy
         it += 1
-    return CenteringResult(x=x, s=s, y=y, iterations=it, trace=trace)
+    return CenteringResult(x=x, s=s, y=y, iterations=it, trace=trace,
+                           ridge_uses=counts["ridge_uses"])
 
 
 def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
@@ -272,6 +284,7 @@ def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
     At = inst.A.T
     # The dense step forms Q = UV' anyway; multiplying by it beats UV'x when k > n.
     q_matvec = inst.q_dense().dot if backend == "dense" else inst.q_matvec
+    counts = Counter()
     it = 0
     while True:
         gl = x - lo
@@ -281,7 +294,8 @@ def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
         r_p = inst.b - inst.A @ x
         gap = oracle.duality_gap(inst, x, s) + abs(float(y @ r_p))
         if gap <= gap_target and float(np.abs(r_p).sum()) <= resid_target:
-            return CenteringResult(x=x, s=s, y=y, iterations=it)
+            return CenteringResult(x=x, s=s, y=y, iterations=it,
+                                   ridge_uses=counts["ridge_uses"])
         if it >= max_iter:
             raise SolverError(f"predictor-corrector exceeded {max_iter} iterations")
         r_d = zl - zu - s
@@ -292,7 +306,7 @@ def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
         def newton(rl, ru):
             z = binv(r_d + rl / gl - ru / gu)
             if inst.m:
-                dy = _solve_normal(S, inst.A @ z - r_p, "predictor_corrector")
+                dy = _solve_normal(S, inst.A @ z - r_p, "predictor_corrector", counts)
                 dx = z - BiAt @ dy
             else:
                 dy = np.zeros(0)
@@ -340,7 +354,9 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
     theory mode under the potential invariant, "lowrank" through ExactDS +
     sketch maintenance (``cpm``).  backend "auto" takes the Woodbury step
     when Q = UV' is thin (4(k + m) <= n), dense otherwise, in either mode.
-    The returned multipliers satisfy Qx + c + A'y = s.
+    The returned multipliers satisfy Qx + c + A'y = s.  The report's
+    "ridge_uses" counts the linear solves that met a numerically singular
+    matrix and were retried with a small ridge (0 on a well-posed run).
     """
     if not 0 < eps <= 0.5:
         raise ValidationError(f"eps must be in (0, 1/2], got {eps}")
@@ -379,6 +395,7 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
         "primal_residual_l1": inst.primal_residual_l1(x),
         "duality_gap": gap,
         "iterations": result.iterations,
+        "ridge_uses": result.ridge_uses,
         "epsilon": eps,
         "mode": mode,
         "backend": backend,

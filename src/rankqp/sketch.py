@@ -21,6 +21,7 @@ local-norm tolerance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 
@@ -31,6 +32,12 @@ from .exactds import ExactDS, UpdateDeltas
 _JL_FLOOR = 25
 _JL_CONST = 24.0
 _LEVEL_SAFETY = 1.5  # extra headroom on the per-level tolerance split
+# Once a heavy query finds every node of a level heavy, it tests the levels
+# below in one block while the block stays within this many nodes: a few
+# nodes the descent never reaches may be tested, and the per-level array
+# calls are saved.  A query that finds few heavy nodes tests one level at a
+# time, as the descent reaches it.
+_LOOKAHEAD = 64
 
 
 def jl_sketch_matrix(n, delta_apx, seed):
@@ -38,12 +45,22 @@ def jl_sketch_matrix(n, delta_apx, seed):
     if not 0 < delta_apx < 1:
         raise ValueError(f"delta_apx must be in (0, 1), got {delta_apx}")
     r = max(_JL_FLOOR, math.ceil(_JL_CONST * math.log(max(n, 2) / delta_apx)))
-    rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0 / math.sqrt(r), size=(r, n)), r
+    # Scaled in place: the draws of rng.normal(0, 1/sqrt(r)) without its
+    # per-entry loc + scale * z.
+    phi = np.random.default_rng(seed).standard_normal((r, n))
+    phi *= 1.0 / math.sqrt(r)
+    return phi, r
 
 
 class PartitionTree:
-    """Complete binary tree over [0, n) in index order, heap-indexed."""
+    """Complete binary tree over [0, n) in index order, heap-indexed.
+
+    Slot v (1 <= v < 2 * base) of the padded heap covers [lo[v], hi[v]): at
+    depth d, a width base/2^d interval clipped to [0, n).  Slot 0 and the
+    slots past n are empty (lo >= hi); the nonempty slots of each depth are
+    a prefix of it.  The bounds are read-only arrays, so one tree serves
+    every structure over the same n.
+    """
 
     def __init__(self, n):
         if n < 1:
@@ -53,27 +70,38 @@ class PartitionTree:
         while p < n:
             p *= 2
         self.base = p
+        lo = np.zeros(2 * p, dtype=np.intp)
+        hi = np.zeros(2 * p, dtype=np.intp)
+        first = 1
+        while first <= p:
+            width = p // first
+            lo[first:2 * first] = np.arange(first) * width
+            hi[first:2 * first] = np.minimum(lo[first:2 * first] + width, n)
+            first *= 2
+        # kids[v]: the nonempty children of a non-leaf v, 0 (the unused
+        # slot) in place of an empty child and for leaves and empty slots.
+        inner = hi - lo > 1
+        kids = np.zeros((2 * p, 2), dtype=np.intp)
+        kids[inner] = 2 * np.flatnonzero(inner)[:, None] + (0, 1)
+        kids[lo[kids] >= hi[kids]] = 0
+        for a in (lo, hi, kids):
+            a.setflags(write=False)
+        self.lo, self.hi, self.kids = lo, hi, kids
 
     def root(self):
         return 1
 
     def interval(self, v):
-        # Heap node v at depth d covers a width base/2^d slot, clipped to [0, n).
-        depth = v.bit_length() - 1
-        width = self.base >> depth
-        lo = (v - (1 << depth)) * width
-        return lo, min(lo + width, self.n)
+        return int(self.lo[v]), int(self.hi[v])
 
     def is_empty(self, v):
-        lo, hi = self.interval(v)
-        return lo >= hi
+        return self.lo[v] >= self.hi[v]
 
     def is_leaf(self, v):
-        lo, hi = self.interval(v)
-        return hi - lo == 1
+        return self.hi[v] - self.lo[v] == 1
 
     def children(self, v):
-        return [c for c in (2 * v, 2 * v + 1) if c < 2 * self.base and not self.is_empty(c)]
+        return [int(c) for c in self.kids[v] if c]
 
     def leaf_of(self, j):
         return self.base + j
@@ -87,7 +115,24 @@ class PartitionTree:
         return out
 
     def nodes(self):
-        return [v for v in range(1, 2 * self.base) if not self.is_empty(v)]
+        return np.flatnonzero(self.lo < self.hi).tolist()
+
+    def children_of(self, nodes):
+        """The nonempty children of an array of nodes, in order."""
+        kids = self.kids[nodes].ravel()
+        return kids[kids > 0]
+
+
+@functools.lru_cache(maxsize=8)
+def partition_tree(n):
+    """The shared tree over [0, n): every restart at one n reuses it."""
+    return PartitionTree(n)
+
+
+def _row_norms(D):
+    """``np.linalg.norm`` of every row of D, bit for bit: one dot per row,
+    where ``np.linalg.norm(D, axis=1)`` sums in another order."""
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None])[:, 0, 0])
 
 
 class VectorSketch:
@@ -105,22 +150,25 @@ class VectorSketch:
         x0 = np.asarray(x0, dtype=float)
         self.cols = None if x0.ndim == 1 else x0.shape[1]
         self.init_ts = ts
-        # Bottom-up vectorized build over the padded heap.
-        p = tree.base
-        n = tree.n
-        if self.cols is None:
-            vals = np.zeros((2 * p, phi.shape[0]))
-            vals[p:p + n] = (phi * x0).T
-        else:
-            vals = np.zeros((2 * p, phi.shape[0], self.cols))
-            vals[p:p + n] = phi.T[:n, :, None] * x0[:, None, :]
-        level = p
-        while level > 1:
-            half = level // 2
-            vals[half:level] = vals[level: 2 * level:2] + vals[level + 1: 2 * level:2]
-            level = half
+        # Bottom-up build over the nonempty prefix of each heap level; the
+        # empty slots are allocated but never written or read.
+        p, n = tree.base, tree.n
+        vals = np.empty((2 * p, phi.shape[0]) + x0.shape[1:])
+        # Leaf j holds the products phi[:, j] x0[j]; einsum writes them
+        # faster than a broadcast multiply over the short last axis.
+        np.einsum("ji,jc->jic", phi.T, x0.reshape(n, -1),
+                  out=vals[p:p + n].reshape(n, phi.shape[0], -1))
+        first, size = p, n
+        while first > 1:
+            half, pairs = first // 2, size // 2
+            np.add(vals[first:first + 2 * pairs:2], vals[first + 1:first + 2 * pairs:2],
+                   out=vals[half:half + pairs])
+            if size % 2:
+                vals[half + pairs] = vals[first + size - 1]  # a lone last child
+            first, size = half, size - pairs
         self.vals = vals
         self.versions = {}
+        self.versioned = np.zeros(2 * p, dtype=bool)  # slots with a version list
 
     def update(self, idx, deltas, ts):
         touched = set()
@@ -133,6 +181,7 @@ class VectorSketch:
                     if v not in self.versions:
                         # first touch: freeze the initial value as a snapshot
                         self.versions[v] = ([self.init_ts], [self.vals[v].copy()])
+                        self.versioned[v] = True
                 self.vals[v] = self.vals[v] + contrib
         for v in touched:
             ts_list, val_list = self.versions[v]
@@ -158,9 +207,8 @@ class VectorSketch:
             raise KeyError(f"no snapshot at or before timestamp {ts}")
         out = self.vals[nodes]
         if ts is not None:
-            for pos, v in enumerate(nodes):
-                if v in self.versions:
-                    out[pos] = self.query(v, ts)
+            for pos in np.flatnonzero(self.versioned[nodes]):
+                out[pos] = self.query(int(nodes[pos]), ts)
         return out
 
 
@@ -179,7 +227,7 @@ class BatchSketch:
     def __init__(self, n, h, hhat, htil, xhat_scaled, shat_scaled, betas,
                  delta_apx, seed):
         self.phi, self.r = jl_sketch_matrix(n, delta_apx, seed)
-        self.tree = PartitionTree(n)
+        self.tree = partition_tree(n)
         self.ell = 0
         self.k = np.shape(hhat)[1]
         self.sk = VectorSketch(self.tree, self.phi,
@@ -205,21 +253,33 @@ class BatchSketch:
                 [d.xhat_scaled, d.shat_scaled, d.h, d.hhat, d.htil]), ts)
         self._pending.clear()
 
-    def _combine(self, nodes, ts, side):
-        """Combined sketches of ``nodes`` at snapshot ts (None: now), one row each."""
-        betas = self.betas if ts is None else self.beta_history[ts]
+    def _combine(self, rows, betas, side):
+        """Combined sketches under the coefficients ``betas``, one per row."""
         if side == "x":
             col, beta, bhat, btil = 0, betas[0], betas[2], betas[4]
         else:
             col, beta, bhat, btil = 1, betas[1], betas[3], betas[5]
-        rows = self.sk.rows(nodes, ts)
         k = self.k
-        return (rows[:, :, col] + rows[:, :, 2] * beta
-                + rows[:, :, 3:3 + k] @ bhat + rows[:, :, 3 + k:] @ btil)
+        # (rows_col + rows_2 beta) + rows_hhat bhat + rows_htil btil, in place
+        out = rows[:, :, 2] * beta
+        out += rows[:, :, col]
+        out += rows[:, :, 3:3 + k] @ bhat
+        out += rows[:, :, 3 + k:] @ btil
+        return out
 
     def query_node_sketch(self, v, side, ts=None):
         self._flush()
-        return self._combine([v], ts, side)[0]
+        betas = self.betas if ts is None else self.beta_history[ts]
+        return self._combine(self.sk.rows([v], ts), betas, side)[0]
+
+    def _moved(self, nodes, ts_ref, side):
+        """Combined sketches of ``nodes`` now minus at ts_ref, one row each.
+        Nodes never updated serve one gathered block to both snapshots."""
+        now = self.sk.rows(nodes)
+        ref = self.sk.rows(nodes, ts_ref) if self.sk.versioned[nodes].any() else now
+        out = self._combine(now, self.betas, side)
+        out -= self._combine(ref, self.beta_history[ts_ref], side)
+        return out
 
     def query_heavy(self, side, ts_ref, eps):
         """Indices whose scaled coordinate may have moved >= eps since ts_ref."""
@@ -227,21 +287,37 @@ class BatchSketch:
             raise KeyError(f"unknown snapshot timestamp {ts_ref}")
         self._flush()
         tree = self.tree
-        out = []
-        frontier = [tree.root()]
-        while frontier:
-            kids = []
-            for v in frontier:
-                if tree.is_leaf(v):
-                    out.append(tree.interval(v)[0])
-                else:
-                    kids.extend(tree.children(v))
-            if not kids:
+        thr = 0.9 * eps
+        moved = np.empty(tree.lo.size)  # per slot, filled for a block of levels at a time
+        ready = 0                       # levels of that block the descent has not reached
+        ahead = False                   # every node of the last level tested was heavy
+        visited = []
+        frontier = np.array([tree.root()])
+        while frontier.size:
+            visited.append(frontier)
+            kids = tree.children_of(frontier)
+            if not kids.size:
                 break
-            diff = self._combine(kids, None, side) - self._combine(kids, ts_ref, side)
-            frontier = [c for c, row in zip(kids, diff)
-                        if float(np.linalg.norm(row)) >= 0.9 * eps]
-        return sorted(out)
+            if not ready:
+                # The kids and, after a level that was all heavy, every level
+                # below them while the block stays within _LOOKAHEAD nodes:
+                # one fetch and one norm call.
+                block = [kids]
+                total = kids.size
+                while ahead:
+                    below = tree.children_of(block[-1])
+                    if not below.size or total + below.size > _LOOKAHEAD:
+                        break
+                    block.append(below)
+                    total += below.size
+                nodes = np.concatenate(block)
+                moved[nodes] = _row_norms(self._moved(nodes, ts_ref, side))
+                ready = len(block)
+            ready -= 1
+            frontier = kids[moved[kids] >= thr]
+            ahead = frontier.size == kids.size
+        visited = np.concatenate(visited)
+        return np.sort(tree.lo[visited[tree.hi[visited] - tree.lo[visited] == 1]]).tolist()
 
 
 class ApproxDS:
@@ -272,6 +348,7 @@ class ApproxDS:
         self.s_tilde = exact.s_bar.copy()
 
     def _dyadic_candidates(self, side, eps_lvl):
+        """Sorted union of the heavy queries over the dyadic lookbacks."""
         ell = self.bs.ell
         out = set()
         j = 0
@@ -280,7 +357,7 @@ class ApproxDS:
             if ell % p == 0 and ell - p + 1 >= 0:
                 out.update(self.bs.query_heavy(side, ell - p + 1, eps_lvl))
             j += 1
-        return out
+        return np.array(sorted(out), dtype=np.intp)
 
     def move_and_query(self, betas):
         self.bs.move(betas)
@@ -288,17 +365,15 @@ class ApproxDS:
         eps_lvl_x = self.eps_apx_x / self._level_div
         eps_lvl_s = self.eps_apx_s / self._level_div
         delta_x = np.zeros(n)
-        for i in self._dyadic_candidates("x", eps_lvl_x):
-            xi = self.exact.query_x(i)
-            dev = math.sqrt(self.exact.hunw[i]) * abs(self.x_tilde[i] - xi)
-            if dev > eps_lvl_x:
-                delta_x[i] = xi - self.x_tilde[i]
+        idx = self._dyadic_candidates("x", eps_lvl_x)
+        xi = self.exact.query_x_many(idx)
+        far = np.sqrt(self.exact.hunw[idx]) * np.abs(self.x_tilde[idx] - xi) > eps_lvl_x
+        delta_x[idx[far]] = xi[far] - self.x_tilde[idx[far]]
         delta_s = np.zeros(n)
-        for i in self._dyadic_candidates("s", eps_lvl_s):
-            si = self.exact.query_s(i)
-            dev = abs(self.s_tilde[i] - si) / math.sqrt(self.exact.hunw[i])
-            if dev > eps_lvl_s:
-                delta_s[i] = si - self.s_tilde[i]
+        idx = self._dyadic_candidates("s", eps_lvl_s)
+        si = self.exact.query_s_many(idx)
+        far = np.abs(self.s_tilde[idx] - si) / np.sqrt(self.exact.hunw[idx]) > eps_lvl_s
+        delta_s[idx[far]] = si[far] - self.s_tilde[idx[far]]
         self.x_tilde += delta_x
         self.s_tilde += delta_s
         return delta_x, delta_s

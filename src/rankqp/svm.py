@@ -72,10 +72,22 @@ class SvmSpec:
 
 
 def _kernel_factors(spec: SvmSpec, eps_factor):
+    """(U, V, report): the factor of K, and the Gaussian factor's degree,
+    rank and errors (None for the linear kernel, whose U and V are X)."""
     if spec.kernel == "linear":
         return spec.X, spec.X, None
     fact = kernel.gaussian_lowrank_factor(spec.X, eps_factor)
-    return fact.U, fact.V, fact
+    report = {"degree": fact.degree, "rank": fact.rank,
+              "sup_error": fact.sup_error, "prune_slack": fact.prune_slack}
+    return fact.U, fact.V, report
+
+
+def _stack_negated(F):
+    """[F; -F] written into one new array."""
+    out = np.empty((2 * F.shape[0], F.shape[1]))
+    out[:F.shape[0]] = F
+    np.negative(F, out=out[F.shape[0]:])
+    return out
 
 
 @dataclass
@@ -92,15 +104,24 @@ def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
     A Gaussian factor is built for this call alone, so classification scales
     its rows by the labels in place and the instance holds the only copy;
     the linear kernel's factor is the caller's X, which gets one scaled
-    copy shared by U and V."""
+    copy shared by U and V.  Regression stacks each factor into one new
+    array and drops the unstacked one before stacking the next; the linear
+    kernel's U and V share one stacked [X; -X]."""
     n = spec.X.shape[0]
-    U, V, fact = _kernel_factors(spec, eps_factor)
+    U, V, factor_report = _kernel_factors(spec, eps_factor)
+    gaussian = factor_report is not None
     ones = np.ones(n)
     # trace(UV') without an n x k temporary; equals trace(K) up to eps
     trace_bound = float(np.einsum("ij,ij->", U, V))
 
     if spec.variant in _CLASSIFICATION:
-        U, V = kernel.scale_by_labels(U, V, spec.y, in_place=fact is not None)
+        U, V = kernel.scale_by_labels(U, V, spec.y, in_place=gaussian)
+    elif spec.variant in ("eps-svr", "nu-svr"):
+        # Rebinding U drops the unstacked factor before V is stacked.
+        shared = V is U
+        U = _stack_negated(U)
+        V = U if shared else _stack_negated(V)
+        trace_bound *= 2.0
 
     if spec.variant in ("hard", "c-svc"):
         cap = spec.C if spec.variant == "c-svc" else (spec.box_cap or 10.0 * n)
@@ -122,34 +143,25 @@ def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
         boxes = [barrier.BlockDomain.nonneg_box(1.0 / n)] * n
         maximization = False
     elif spec.variant == "eps-svr":
-        U = np.vstack([U, -U])
-        V = np.vstack([V, -V])
         p = np.concatenate([spec.eps_tube * ones + spec.y,
                             spec.eps_tube * ones - spec.y])
         A = np.concatenate([ones, -ones])[None, :]
         b = np.zeros(1)
         boxes = [barrier.BlockDomain.nonneg_box(spec.C)] * (2 * n)
         maximization = False
-        trace_bound *= 2.0
     else:  # nu-svr
-        U = np.vstack([U, -U])
-        V = np.vstack([V, -V])
         p = np.concatenate([spec.y, -spec.y])
         A = np.vstack([np.concatenate([ones, -ones]),
                        np.concatenate([ones, ones])])
         b = np.array([0.0, spec.C * spec.nu])
         boxes = [barrier.BlockDomain.nonneg_box(spec.C / n)] * (2 * n)
         maximization = False
-        trace_bound *= 2.0
 
     caps = np.array([d.hi for d in boxes])
     R = float(np.linalg.norm(caps))
     r = float(caps.min()) / 4.0
     L = max(float(np.linalg.norm(p)), abs(trace_bound) * 1.05, 1.0)
     inst = model.build_qp_instance(p, A, b, boxes, R=R, r=r, L=L, U=U, V=V)
-    factor_report = None if fact is None else {
-        "degree": fact.degree, "rank": fact.rank,
-        "sup_error": fact.sup_error, "prune_slack": fact.prune_slack}
     return ReducedQP(instance=inst, maximization=maximization,
                      factor_report=factor_report, dim=inst.n)
 

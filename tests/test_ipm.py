@@ -353,6 +353,28 @@ def test_ladder_practical_iterations(rng, n):
     assert sol.report["backend"] == "woodbury"
     assert sol.report["iterations"] <= 60
     assert sol.report["duality_gap"] <= sol.report["error_budget"]
+    assert sol.report["ridge_uses"] == 0
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("backend,second", [("lowrank", 1.0), ("auto", 1.0), ("auto", 0.0)])
+def test_degenerate_equality_rows_count_ridge(rng, backend, second):
+    # A second row equal to the first (or zero, with b = 0) makes the
+    # normal matrix A B^-1 A' singular; the retried solves are counted in
+    # the report, and the answer is the one-row program's.
+    from rankqp import oracle
+    n = 40
+    data = dict(c=rng.normal(size=n), blocks=[BlockDomain.box(0, 1)] * n,
+                U=rng.normal(size=(n, 3)))
+    data["V"] = data["U"]
+    a = rng.normal(size=(1, n))
+    b = a @ rng.uniform(0.3, 0.7, size=n)
+    inst = build_qp_instance(A=np.vstack([a, second * a]), b=np.concatenate([b, second * b]),
+                             **data)
+    sol = ipm.solve(inst, 1e-3, backend=backend)
+    assert sol.report["ridge_uses"] >= 1
+    _, _, _, ref = oracle.dense_solve_qp(build_qp_instance(A=a, b=b, **data), tol=1e-9)
+    assert abs(sol.report["objective"] - ref.objective) <= sol.report["error_budget"]
 
 
 def test_auto_matches_oracle(rng):

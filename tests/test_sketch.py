@@ -44,7 +44,7 @@ def test_jl_norm_preservation(rng):
 
 # -- partition tree -----------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33, 100])
 def test_partition_tree_structure(n):
     tree = PartitionTree(n)
     root = tree.root()
@@ -68,7 +68,62 @@ def test_partition_tree_structure(n):
     assert seen == set(range(n))
 
 
+def test_partition_tree_arrays_match_heap_arithmetic():
+    # lo/hi are the heap intervals base/2^d wide, clipped to [0, n); the
+    # nonempty slots of each depth are a prefix of it.
+    for n in (1, 2, 3, 5, 33, 100):
+        tree = PartitionTree(n)
+        for v in range(1, 2 * tree.base):
+            depth = v.bit_length() - 1
+            width = tree.base >> depth
+            lo = (v - (1 << depth)) * width
+            assert tree.interval(v) == (lo, min(lo + width, n))
+            if tree.is_empty(v):
+                assert v + 1 == 1 << (depth + 1) or tree.is_empty(v + 1)
+        assert tree.is_empty(0)
+
+
 # -- vector sketch ------------------------------------------------------------
+
+def _padded_heap_sketch(phi, x0, base):
+    """Node values of the padded heap: zero-filled, leaves phi[:, j] x0[j],
+    every internal slot the sum of its two children."""
+    n = x0.shape[0]
+    vals = np.zeros((2 * base, phi.shape[0]) + x0.shape[1:])
+    if x0.ndim == 1:
+        vals[base:base + n] = (phi * x0).T
+    else:
+        vals[base:base + n] = phi.T[:, :, None] * x0[:, None, :]
+    level = base
+    while level > 1:
+        half = level // 2
+        vals[half:level] = vals[level:2 * level:2] + vals[level + 1:2 * level:2]
+        level = half
+    return vals
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 100])
+@pytest.mark.parametrize("cols", [None, 8])
+def test_sketch_build_matches_padded_heap(rng, n, cols):
+    # The build sums only the nonempty prefix of each level; every nonempty
+    # node equals the zero-padded heap's bit for bit.
+    phi, _ = jl_sketch_matrix(n, 0.05, seed=n)
+    x0 = rng.normal(size=n if cols is None else (n, cols))
+    x0[rng.random(size=x0.shape) < 0.2] = 0.0
+    tree = PartitionTree(n)
+    vs = VectorSketch(tree, phi, x0, ts=0)
+    ref = _padded_heap_sketch(phi, x0, tree.base)
+    for v in tree.nodes():
+        assert np.array_equal(vs.query(v), ref[v])
+
+
+def test_jl_matrix_matches_scaled_normal_draws():
+    # phi is the draw sequence of rng.normal(0, 1/sqrt(r)), scaled in place.
+    for n, delta, seed in ((33, 0.01, 0), (100, 0.1, 7), (1, 0.5, 3)):
+        phi, r = jl_sketch_matrix(n, delta, seed)
+        want = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(r), size=(r, n))
+        assert np.array_equal(phi, want)
+
 
 def test_vector_sketch_matches_dense(rng):
     n = 37
@@ -287,7 +342,7 @@ def test_lazy_updates_match_eager_queries(rng):
         assert np.abs(lazy.query_node_sketch(v, "x") - want).max() <= 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 5, 33, 128])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 100, 128])
 def test_query_heavy_matches_per_node_descent(rng, n):
     k, m, eps = 3, 2, 0.05
     bs = _fresh_batch(rng, n, k=k, m=m, seed=n)
@@ -336,6 +391,24 @@ def _exactds_state(rng, n=60, k=3, m=2):
     s = mu_target - inst.w * g
     exact = ExactDS(inst, params, x.copy(), s.copy(), x.copy(), s.copy(), 1.0)
     return inst, params, exact
+
+
+def test_batched_reads_match_per_index_queries(rng):
+    # After Move/Update rounds the pieces have changed rows; the batched
+    # reads equal query_x/query_s at every index, bit for bit.
+    inst, params, exact = _exactds_state(rng, n=50)
+    for _ in range(4):
+        exact.move()
+        S = rng.choice(inst.n, size=6, replace=False)
+        dx = np.zeros(inst.n)
+        ds = np.zeros(inst.n)
+        dx[S] = 1e-3 * rng.normal(size=S.size)
+        ds[S] = 1e-3 * rng.normal(size=S.size)
+        exact.update(dx, ds)
+    idx = np.arange(inst.n)
+    assert np.array_equal(exact.query_x_many(idx), [exact.query_x(i) for i in idx])
+    assert np.array_equal(exact.query_s_many(idx), [exact.query_s(i) for i in idx])
+    assert exact.query_x_many(idx[:0]).shape == (0,)
 
 
 def test_stationary_path_emits_nothing(rng):

@@ -152,7 +152,8 @@ def test_svm_equality_residual_bound():
 
 def test_linear_factors_share_one_array(rng):
     # The linear kernel's U and V are one array: the caller's X for one-class,
-    # one label-scaled copy for classification.  The caller's X stays writable.
+    # one label-scaled copy for classification, one stacked [X; -X] for
+    # regression.  The caller's X stays writable.
     X = rng.normal(size=(12, 3))
     inst = reduce_to_qp(SvmSpec(X=X, variant="one-class", nu=0.5)).instance
     assert np.shares_memory(inst.U, inst.V)
@@ -161,20 +162,25 @@ def test_linear_factors_share_one_array(rng):
     inst = reduce_to_qp(SvmSpec(X=X, y=y, variant="c-svc")).instance
     assert np.shares_memory(inst.U, inst.V)
     assert np.allclose(inst.q_dense(), np.outer(y, y) * (X @ X.T), rtol=1e-12, atol=1e-12)
+    for variant in ("eps-svr", "nu-svr"):
+        inst = reduce_to_qp(SvmSpec(X=X, y=X[:, 0], variant=variant, nu=0.5)).instance
+        assert np.shares_memory(inst.U, inst.V) and not np.shares_memory(inst.U, X)
+        assert np.array_equal(inst.U, np.vstack([X, -X]))
+    assert X.flags.writeable
 
 
-def test_gaussian_training_holds_one_factor():
-    # One Gaussian c-SVC training on the svm-gaussian-cli recipe (two
-    # clusters in 4 dimensions, squared radius 3.9, C = 5) allocates little
-    # beyond the one label-scaled U and V that its instance holds.
-    rng = np.random.default_rng(7)
-    n = 120
+def _two_clusters(n, seed=7):
+    """The svm-gaussian-cli recipe: two clusters in 4 dimensions, squared radius 3.9."""
+    rng = np.random.default_rng(seed)
     y = np.where(np.arange(n) < n // 2, 1.0, -1.0)
     X = rng.normal(size=(n, 4)) * 0.15
     X[:, 0] += 0.8 * y
     d2 = np.sum(X * X, axis=1)
     X *= np.sqrt(3.9 / float((d2[:, None] + d2[None, :] - 2.0 * (X @ X.T)).max()))
-    spec = SvmSpec(X=X, y=y, variant="c-svc", C=5.0, kernel="gaussian")
+    return X, y
+
+
+def _traced_peak(spec):
     importlib.import_module("scipy.linalg")  # loaded on first use; not counted here
     tracemalloc.start()
     try:
@@ -182,6 +188,29 @@ def test_gaussian_training_holds_one_factor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return rep, peak
+
+
+def test_gaussian_regression_stacks_without_copies():
+    # One eps-SVR training holds the stacked [U; -U] and [V; -V] (2 x the
+    # bytes of U and V) and, while the second is written, one unstacked
+    # factor: 2.5 x, not the 3.5 x of stacking beside both unstacked ones.
+    n = 120
+    X, y = _two_clusters(n)
+    rep, peak = _traced_peak(SvmSpec(X=X, y=X[:, 0] + 0.5 * X[:, 1], variant="eps-svr",
+                                     C=5.0, eps_tube=0.05, kernel="gaussian"))
+    rank = rep["kernel_factor"]["rank"]
+    assert rank > n
+    assert peak <= 2.6 * (16 * n * rank)  # U.nbytes + V.nbytes
+
+
+def test_gaussian_training_holds_one_factor():
+    # One Gaussian c-SVC training on the svm-gaussian-cli recipe (two
+    # clusters in 4 dimensions, squared radius 3.9, C = 5) allocates little
+    # beyond the one label-scaled U and V that its instance holds.
+    n = 120
+    X, y = _two_clusters(n)
+    rep, peak = _traced_peak(SvmSpec(X=X, y=y, variant="c-svc", C=5.0, kernel="gaussian"))
     rank = rep["kernel_factor"]["rank"]
     assert rank > n
     assert peak <= 1.5 * (16 * n * rank)  # U.nbytes + V.nbytes
