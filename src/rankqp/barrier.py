@@ -104,10 +104,10 @@ def pack_bounds(blocks):
     return lo, hi, nu
 
 
-def check_interior(lo, hi, x, margin=0.0):
+def check_interior(lo, hi, x):
     a = x - lo
     b = hi - x
-    ok = (a > margin) & ((b > margin) | np.isinf(hi))
+    ok = (a > 0.0) & ((b > 0.0) | np.isinf(hi))
     if not ok.all():
         i = int(np.argmin(ok))
         raise DomainError(f"coordinate {i} = {x[i]} not interior to [{lo[i]}, {hi[i]}]")

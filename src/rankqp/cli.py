@@ -1,8 +1,9 @@
 """Command line interface.
 
 Commands: solve-qp, train-svm, factor-kernel, verify, predict.  Every
-command can write a versioned JSON report; with a fixed --seed the report
-is bit-identical across runs except for the timing block.
+command can write a versioned JSON report, bit-identical across runs on the
+same input except for the timing block; only solve-qp takes a --seed (the
+lowrank backend's sketch).
 
 Exit codes: 0 success, 2 validation/parse error, 3 solver failure,
 64 usage error.
@@ -21,7 +22,7 @@ from .exceptions import (InvariantViolation, ParseError, RankQPError,
                          SolverError, ValidationError)
 from .libsvm_io import parse_libsvm
 
-SCHEMA = 1
+SCHEMA = 2
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
@@ -29,6 +30,13 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64.  Flags match only when spelled out in full, so
+    an unknown flag such as --mode is refused instead of being taken for an
+    abbreviation of --model or --model-out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -115,62 +123,32 @@ def _cmd_solve_qp(args):
     return EXIT_OK
 
 
-def _variant_key(name):
-    aliases = {"hard": "hard", "hard-margin": "hard", "c-svc": "c-svc",
-               "csvc": "c-svc", "nu-svc": "nu-svc", "one-class": "one-class",
-               "eps-svr": "eps-svr", "nu-svr": "nu-svr"}
-    try:
-        return aliases[name]
-    except KeyError:
-        raise ValidationError(f"unknown variant {name!r}") from None
-
-
 def _cmd_train_svm(args):
     ds = parse_libsvm(args.data)
     X = ds.to_dense()
-    variant = _variant_key(args.variant)
-    y = None if variant == "one-class" else ds.y
-    spec = svm.SvmSpec(X=X, y=y, variant=variant, kernel=args.kernel,
+    y = None if args.variant == "one-class" else ds.y
+    spec = svm.SvmSpec(X=X, y=y, variant=args.variant, kernel=args.kernel,
                        C=args.C, nu=args.nu, eps_tube=args.eps_tube,
                        box_cap=args.radius_R)
     t0 = time.perf_counter()
-    mdl = svm.train(spec, eps_solve=args.epsilon, mode=args.mode,
-                    backend=args.backend, seed=args.seed)
+    mdl = svm.train(spec, eps_solve=args.epsilon)
     elapsed = time.perf_counter() - t0
-    report = {"schema": SCHEMA, "command": "train-svm", "seed": args.seed,
-              "parameters": {"variant": variant, "kernel": args.kernel,
+    report = {"schema": SCHEMA, "command": "train-svm",
+              "parameters": {"variant": args.variant, "kernel": args.kernel,
                              "C": args.C, "nu": args.nu,
                              "eps_tube": args.eps_tube,
-                             "epsilon": args.epsilon, "mode": args.mode},
+                             "epsilon": args.epsilon},
               "objective": mdl.dual_objective,
               "iterations": mdl.solve_report["iterations"],
               "bias": mdl.bias,
               "n_support": int(mdl.support.size),
               "solve": mdl.solve_report,
               "timing": {"seconds": elapsed}}
-    if args.oracle and mdl.spec.kernel == "gaussian":
-        K = kernel.exact_gaussian_kernel(X)
-        report["oracle"] = {"note": "exact-kernel objective at trained alpha",
-                            "objective": _exact_dual_objective(spec, mdl.alpha, K)}
     if args.model_out:
         dump_model(mdl, args.model_out)
         report["model_path"] = args.model_out
     _write_report(report, args.report)
     return EXIT_OK
-
-
-def _exact_dual_objective(spec, alpha, K):
-    n = K.shape[0]
-    if spec.variant in ("hard", "c-svc", "nu-svc"):
-        Q = K * np.outer(spec.y, spec.y)
-    elif spec.variant == "one-class":
-        Q = K
-    else:
-        Q = np.block([[K, -K], [-K, K]])
-    quad = 0.5 * float(alpha @ (Q @ alpha))
-    if spec.variant in ("hard", "c-svc"):
-        return float(alpha.sum()) - quad
-    return quad
 
 
 def _cmd_factor_kernel(args):
@@ -179,7 +157,7 @@ def _cmd_factor_kernel(args):
     t0 = time.perf_counter()
     fact = kernel.gaussian_lowrank_factor(X, args.epsilon)
     elapsed = time.perf_counter() - t0
-    report = {"schema": SCHEMA, "command": "factor-kernel", "seed": args.seed,
+    report = {"schema": SCHEMA, "command": "factor-kernel",
               "parameters": {"epsilon": args.epsilon},
               "degree": fact.degree, "rank": fact.rank,
               "radius_B": fact.radius,
@@ -218,7 +196,7 @@ def _cmd_predict(args):
         # LIBSVM omits zero features, so trailing columns may be absent.
         X = np.hstack([X, np.zeros((X.shape[0], d - X.shape[1]))])
     dec, labels = svm.predict(mdl, X)
-    report = {"schema": SCHEMA, "command": "predict", "seed": args.seed,
+    report = {"schema": SCHEMA, "command": "predict",
               "decision_values": dec, "labels": labels}
     if ds.y.size and mdl.spec.variant in ("hard", "c-svc", "nu-svc"):
         report["accuracy"] = float(np.mean(np.sign(dec) == ds.y))
@@ -310,14 +288,14 @@ def build_parser():
 
     def common(p):
         p.add_argument("--epsilon", type=float, default=1e-3)
-        p.add_argument("--mode", choices=["theory", "practical"], default="practical")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", default=None, help="write the JSON report here")
 
     p = sub.add_parser("solve-qp", help="solve a QP instance from a JSON file")
     p.add_argument("instance")
     common(p)
+    p.add_argument("--mode", choices=["theory", "practical"], default="practical")
     p.add_argument("--backend", choices=["auto", "dense", "lowrank"], default="auto")
+    p.add_argument("--seed", type=int, default=0, help="seed of the lowrank sketch")
     p.add_argument("--oracle", action="store_true",
                    help="also run the dense reference solver and report the gap")
     p.set_defaults(func=_cmd_solve_qp)
@@ -325,7 +303,6 @@ def build_parser():
     p = sub.add_parser("train-svm", help="train an SVM from LIBSVM data")
     p.add_argument("data")
     common(p)
-    p.add_argument("--backend", choices=["auto", "dense", "lowrank"], default="auto")
     p.add_argument("--variant", default="c-svc")
     p.add_argument("--kernel", choices=["linear", "gaussian"], default="linear")
     p.add_argument("--C", type=float, default=1.0)
@@ -334,7 +311,6 @@ def build_parser():
     p.add_argument("--radius-R", type=float, default=None,
                    help="box cap for the hard-margin dual")
     p.add_argument("--model-out", default=None)
-    p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=_cmd_train_svm)
 
     p = sub.add_parser("factor-kernel", help="low-rank factor a Gaussian kernel")
@@ -352,7 +328,6 @@ def build_parser():
     p = sub.add_parser("predict", help="predict with a dumped model")
     p.add_argument("data")
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_predict)
     return parser

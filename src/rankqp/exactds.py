@@ -83,17 +83,17 @@ class UpdateDeltas:
 
 
 class ExactDS:
-    """direction="softmax" follows the potential-based step scaling
+    """Theory mode (params.mode) follows the potential-based step scaling
     dmu_bar_i = -alpha sinh(lam gamma_i / w_i)/gamma_i * mu_i with
-    alpha_bar = sum cosh^2/w; direction="damped" freezes a plain damping
-    dmu_bar_i = -theta mu_i (alpha_bar = 1) for the practical path.  Both
+    alpha_bar = sum cosh^2/w; practical mode freezes a plain damping
+    dmu_bar_i = -theta mu_i (alpha_bar = 1).  Both
     keep dmu_bar a per-coordinate function of (xbar_i, sbar_i, tbar), which
     is what makes sparse refreshes consistent."""
 
-    def __init__(self, inst, params, x, s, x_bar, s_bar, t_bar, direction=None):
+    def __init__(self, inst, params, x, s, x_bar, s_bar, t_bar):
         self.inst = inst
         self.params = params
-        self.direction = direction or ("softmax" if params.mode == "theory" else "damped")
+        self.direction = "softmax" if params.mode == "theory" else "damped"
         n = inst.n
         self.U = inst.U if inst.U is not None else np.zeros((n, 0))
         self.V = inst.V if inst.V is not None else np.zeros((n, 0))

@@ -143,7 +143,7 @@ def _monomials(X, q):
         frontier = nxt
     degrees = np.array([sum(e) for e in order])
     inv_mfact = np.array([1.0 / math.prod(math.factorial(v) for v in e) for e in order])
-    return vals, degrees, inv_mfact, order
+    return vals, degrees, inv_mfact
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class KernelFactorization:
     sup_error: float         # certified polynomial sup error
     prune_slack: float       # certified mass of pruned columns
     shift: np.ndarray        # centroid subtracted before featurization
-    column_index: tuple      # (b0, monomial exponent tuple) per kept column
+    kept_columns: np.ndarray  # bool per candidate column (b0, m): True where kept
 
     def entry_error_bound(self):
         return self.sup_error + self.prune_slack
@@ -169,7 +169,8 @@ class KernelFactorization:
 
 def _feature_blocks(Xc, q, coeffs, sides):
     """Feature matrices for each requested side ("u", "v"), all built from
-    one set of monomials and column-indexed by (b0, m) with b0 + |m| <= q.
+    one set of monomials, with one column per (b0, m) with b0 + |m| <= q in
+    b0-major, graded monomial order.
 
     The monomials are graded, so those of degree <= q - b0 are a column
     prefix, and those of degree l a contiguous range inside it; each b0
@@ -177,11 +178,10 @@ def _feature_blocks(Xc, q, coeffs, sides):
     n = Xc.shape[0]
     norms = np.sum(Xc * Xc, axis=1)
     pows = np.vander(norms, q + 1, increasing=True)  # norms^0 .. norms^q
-    mono, deg, inv_mfact, order = _monomials(Xc, q)
+    mono, deg, inv_mfact = _monomials(Xc, q)
     upto = np.searchsorted(deg, np.arange(q + 1), side="right")  # #{m : |m| <= l}
     out = {side: np.empty((n, int(upto.sum())), order="F") for side in sides}
     fact = [math.factorial(t) for t in range(q + 1)]
-    index = []
     off = 0
     for b0 in range(q + 1):
         width = int(upto[q - b0])
@@ -202,9 +202,8 @@ def _feature_blocks(Xc, q, coeffs, sides):
                       for b1 in range(q + 1 - b0 - l)]
                 start = int(upto[l - 1]) if l else 0
                 block[:, start:int(upto[l])] *= polynomial.polyval(norms, np.array(cs))[:, None]
-        index.extend((b0, e) for e in order[:width])
         off += width
-    return [out[side] for side in sides], index
+    return [out[side] for side in sides]
 
 
 def _column_magnitude(F):
@@ -254,7 +253,7 @@ def gaussian_lowrank_factor(X, eps, byte_cap=_FACTOR_BYTES_CAP):
             f"binom({q + d + 1},{d + 1}) = {rank}), over the cap of {byte_cap} bytes; "
             "use a larger eps, fewer points or lower-dimensional data")
     coeffs, sup_err = chebyshev_exp_coeffs(B, q)
-    (U, V), index = _feature_blocks(Xc, q, coeffs, ("u", "v"))
+    U, V = _feature_blocks(Xc, q, coeffs, ("u", "v"))
     colmag = _column_magnitude(U) * _column_magnitude(V)
     thresh = _PRUNE_REL * float(colmag.max())
     prune = colmag < thresh
@@ -270,30 +269,26 @@ def gaussian_lowrank_factor(X, eps, byte_cap=_FACTOR_BYTES_CAP):
     keep = ~prune
     if prune.any():
         U, V = _compact_columns(U, keep), _compact_columns(V, keep)
-    kept_index = tuple(ix for ix, k in zip(index, keep) if k)
     return KernelFactorization(U=U, V=V, degree=q,
                                rank=int(keep.sum()), radius=B, epsilon=eps,
                                coeffs=coeffs, sup_error=sup_err,
                                prune_slack=slack, shift=shift,
-                               column_index=kept_index)
+                               kept_columns=keep)
 
 
-def feature_map(fact: KernelFactorization, Xq, side="v"):
-    """Features of new points in the factorization's column basis, so that
-    U_train @ feature_map(fact, Xq, 'v').T  approximates K(train, query)."""
-    if side not in ("u", "v"):
-        raise ValidationError(f"side must be 'u' or 'v', got {side!r}")
+def feature_map(fact: KernelFactorization, Xq):
+    """V-side features of new points in the factorization's column basis, so
+    that  U_train @ feature_map(fact, Xq).T  approximates K(train, query)."""
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     d = fact.shift.shape[0]
     if Xq.ndim != 2 or Xq.shape[1] != d:
         raise ValidationError(f"queries have shape {Xq.shape}; the factor needs {d} columns")
     if not np.all(np.isfinite(Xq)):
         raise ValidationError("queries have non-finite entries")
-    (full,), index = _feature_blocks(Xq - fact.shift, fact.degree, fact.coeffs, (side,))
-    if len(index) == fact.rank:  # nothing was pruned
+    (full,) = _feature_blocks(Xq - fact.shift, fact.degree, fact.coeffs, ("v",))
+    if full.shape[1] == fact.rank:  # nothing was pruned
         return full
-    kept = set(fact.column_index)
-    return _compact_columns(full, np.array([ix in kept for ix in index]))
+    return _compact_columns(full, fact.kept_columns)
 
 
 def scale_by_labels(U, V, y, in_place=False):

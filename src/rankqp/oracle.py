@@ -16,7 +16,7 @@ import numpy as np
 import scipy
 
 from . import barrier, model
-from .exceptions import SolverError, ValidationError
+from .exceptions import DomainError, SolverError, ValidationError
 
 _DENSE_CAP = 2000
 # Largest relative KKT residual accepted from the Schur complement step.
@@ -226,9 +226,9 @@ def dense_solve_qp(inst: model.QPInstance, tol=1e-9):
         try:
             corr = inst.A.T @ scipy.linalg.solve(AAt, inst.b - inst.A @ x, assume_a="pos")
             x_proj = x + corr
-            barrier.check_interior(inst.lo, inst.hi, x_proj, margin=0.0)
+            barrier.check_interior(inst.lo, inst.hi, x_proj)
             x = x_proj
-        except Exception:
+        except (DomainError, np.linalg.LinAlgError):
             pass
     t_end = kappa / tol
     t_o = max(1.0, kappa / max(abs(inst.objective(x)), 1.0))

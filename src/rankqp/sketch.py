@@ -27,7 +27,9 @@ from bisect import bisect_right
 
 import numpy as np
 
+from . import kernel
 from .exactds import ExactDS, UpdateDeltas
+from .exceptions import ValidationError
 
 _JL_FLOOR = 25
 _JL_CONST = 24.0
@@ -40,11 +42,16 @@ _LEVEL_SAFETY = 1.5  # extra headroom on the per-level tolerance split
 _LOOKAHEAD = 64
 
 
-def jl_sketch_matrix(n, delta_apx, seed):
-    """Seeded Gaussian sketch matrix with variance 1/r entries."""
+def _jl_rows(n, delta_apx):
+    """Rows r of the JL sketch matrix over n coordinates."""
     if not 0 < delta_apx < 1:
         raise ValueError(f"delta_apx must be in (0, 1), got {delta_apx}")
-    r = max(_JL_FLOOR, math.ceil(_JL_CONST * math.log(max(n, 2) / delta_apx)))
+    return max(_JL_FLOOR, math.ceil(_JL_CONST * math.log(max(n, 2) / delta_apx)))
+
+
+def jl_sketch_matrix(n, delta_apx, seed):
+    """Seeded Gaussian sketch matrix with variance 1/r entries."""
+    r = _jl_rows(n, delta_apx)
     # Scaled in place: the draws of rng.normal(0, 1/sqrt(r)) without its
     # per-entry loc + scale * z.
     phi = np.random.default_rng(seed).standard_normal((r, n))
@@ -221,15 +228,23 @@ class BatchSketch:
     set of node versions.  ``update`` only records the deltas with their
     timestamp; the sketch takes them, in order, at the next query, and
     deltas recorded after a structure's last query are dropped unread when
-    ``cpm`` rebuilds it.
+    ``cpm`` rebuilds it.  A sketch over more than ``kernel._FACTOR_BYTES_CAP``
+    bytes (8 per row of Phi per heap slot per column) is refused with a
+    ``ValidationError`` before anything is allocated.
     """
 
     def __init__(self, n, h, hhat, htil, xhat_scaled, shat_scaled, betas,
                  delta_apx, seed):
-        self.phi, self.r = jl_sketch_matrix(n, delta_apx, seed)
         self.tree = partition_tree(n)
-        self.ell = 0
         self.k = np.shape(hhat)[1]
+        cols = 3 + self.k + np.shape(htil)[1]
+        need = 8 * 2 * self.tree.base * _jl_rows(n, delta_apx) * cols
+        if need > kernel._FACTOR_BYTES_CAP:
+            raise ValidationError(
+                f"the JL sketch needs {need} bytes (n = {n}, {cols} columns), over "
+                f"the cap of {kernel._FACTOR_BYTES_CAP} bytes; use another backend")
+        self.phi, self.r = jl_sketch_matrix(n, delta_apx, seed)
+        self.ell = 0
         self.sk = VectorSketch(self.tree, self.phi,
                                np.column_stack([xhat_scaled, shat_scaled, h, hhat, htil]), 0)
         self.betas = tuple(np.array(b, dtype=float) if np.ndim(b) else float(b)

@@ -231,14 +231,17 @@ def recover_primal(alpha, spec: SvmSpec, y_eq):
     return w, -float(y_eq[0])
 
 
-def train(spec: SvmSpec, eps_solve=1e-4, mode="practical", backend="auto", seed=0):
+def train(spec: SvmSpec, eps_solve=1e-4):
     """Train to additive dual-objective error eps_solve against the exact
     optimum of the reduced program (Gaussian kernels add the certified
     entrywise kernel error on top).
 
-    The factor's entrywise target eps_solve / (n R^2) is clamped into
-    [1e-12, 1e-3]; the report gives the target ("kernel_eps_target") beside
-    the tolerance the factor was built to ("kernel_eps")."""
+    The reduced program is solved by ``ipm.solve`` in its practical mode
+    with the automatic backend choice; ``ipm.solve`` itself keeps the
+    theory mode and the forced backends.  The factor's entrywise target
+    eps_solve / (n R^2) is clamped into [1e-12, 1e-3]; the report gives the
+    target ("kernel_eps_target") beside the tolerance the factor was built
+    to ("kernel_eps")."""
     n = spec.X.shape[0]
     if spec.kernel == "gaussian":
         R_est = _outer_radius_estimate(spec)
@@ -249,7 +252,7 @@ def train(spec: SvmSpec, eps_solve=1e-4, mode="practical", backend="auto", seed=
     red = reduce_to_qp(spec, eps_factor=eps1)
     inst = red.instance
     eps_qp = min(0.5, eps_solve / (inst.L * inst.R * (inst.R + 1.0)))
-    sol = ipm.solve(inst, eps_qp, mode=mode, backend=backend, seed=seed)
+    sol = ipm.solve(inst, eps_qp)
     alpha = sol.x
     dual_obj = inst.objective(alpha)
     if red.maximization:

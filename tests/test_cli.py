@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import rankqp
-from rankqp import svm
-from rankqp.cli import cli_run, dump_model
+from rankqp import kernel, svm
+from rankqp.cli import build_parser, cli_run, dump_model
 from rankqp.libsvm_io import Dataset, emit_libsvm
 
 
@@ -47,6 +48,65 @@ def test_unknown_flag_exits_64(capsys):
     assert cli_run(["frobnicate"]) == 64
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train-svm", ["--mode", "practical"]),
+    ("train-svm", ["--backend", "auto"]),
+    ("train-svm", ["--seed", "0"]),
+    ("train-svm", ["--oracle"]),
+    ("factor-kernel", ["--mode", "practical"]),
+    ("factor-kernel", ["--seed", "0"]),
+    ("predict", ["--seed", "0"]),
+])
+def test_removed_flag_exits_64(two_point_data, command, flag):
+    # No abbreviation matching either: --mode would otherwise be read as
+    # train-svm's --model-out.
+    assert cli_run([command, two_point_data, *flag]) == 64
+
+
+@pytest.mark.parametrize("variant", ["hard-margin", "csvc"])
+def test_removed_variant_alias_exits_2(two_point_data, variant, capsys):
+    assert cli_run(["train-svm", two_point_data, "--variant", variant]) == 2
+    assert f"unknown variant {variant!r}" in capsys.readouterr().err
+
+
+def _run_recording_reads(argv):
+    """Run one command with a namespace that records every attribute the
+    handler reads; returns (the parsed namespace, the names read)."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv, namespace=Recording())
+    reads.clear()  # only the handler's reads count
+    assert args.func(args) == 0
+    return args, reads
+
+
+def test_every_flag_is_read(two_point_data, qp_instance_file, tmp_path):
+    out = {name: str(tmp_path / name) for name in ("solve.json", "model.txt")}
+    runs = [["solve-qp", qp_instance_file, "--report", out["solve.json"]],
+            ["verify", out["solve.json"], qp_instance_file,
+             "--report", str(tmp_path / "verify.json")],
+            ["train-svm", two_point_data, "--model-out", out["model.txt"],
+             "--report", str(tmp_path / "train.json")],
+            ["predict", two_point_data, "--model", out["model.txt"],
+             "--report", str(tmp_path / "predict.json")],
+            ["factor-kernel", two_point_data, "--report", str(tmp_path / "factor.json")]]
+    for argv in runs:
+        args, reads = _run_recording_reads(argv)
+        unread = set(vars(args)) - {"func", "command"} - reads
+        assert not unread, f"{argv[0]} never reads {sorted(unread)}"
+
+
+def test_oversized_sketch_exits_2(qp_instance_file, monkeypatch, capsys):
+    monkeypatch.setattr(kernel, "_FACTOR_BYTES_CAP", 1024)
+    assert cli_run(["solve-qp", qp_instance_file, "--backend", "lowrank"]) == 2
+    assert "cap of 1024 bytes" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert cli_run(["solve-qp", str(tmp_path / "nope.json")]) == 2
 
@@ -59,7 +119,7 @@ def test_train_svm_two_point(two_point_data, tmp_path):
                     "--report", str(report), "--model-out", str(model)])
     assert code == 0
     rep = _load(report)
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["objective"] == pytest.approx(0.5, abs=1e-3)
     assert rep["n_support"] == 2
 
@@ -107,7 +167,7 @@ def test_report_determinism(two_point_data, tmp_path):
     for run in range(2):
         path = tmp_path / f"rep{run}.json"
         assert cli_run(["train-svm", two_point_data, "--variant", "hard",
-                        "--seed", "7", "--report", str(path)]) == 0
+                        "--report", str(path)]) == 0
         rep = _load(path)
         rep.pop("timing")
         rep["solve"].pop("timing", None)

@@ -145,7 +145,7 @@ def test_feature_map_queries(rng):
     X = rng.normal(size=(40, 3)) * 0.4
     fact = kernel.gaussian_lowrank_factor(X, 1e-7)
     Xq = rng.normal(size=(5, 3)) * 0.4
-    feat = kernel.feature_map(fact, Xq, side="v")
+    feat = kernel.feature_map(fact, Xq)
     approx = fact.U @ feat.T
     d2 = ((X[:, None, :] - Xq[None, :, :]) ** 2).sum(-1)
     assert np.abs(np.exp(-d2) - approx).max() <= 5e-7
@@ -216,21 +216,20 @@ def test_feature_map_of_training_rows_is_the_factor(rng, pruned):
     d = X.shape[1]
     full_rank = math.comb(fact.degree + d + 1, d + 1)
     assert (fact.rank < full_rank) == pruned
-    assert len(fact.column_index) == fact.rank
-    assert np.array_equal(kernel.feature_map(fact, X, "u"), fact.U)
-    assert np.array_equal(kernel.feature_map(fact, X, "v"), fact.V)
+    assert fact.kept_columns.shape == (full_rank,)
+    assert int(fact.kept_columns.sum()) == fact.rank
+    assert np.array_equal(kernel.feature_map(fact, X), fact.V)
 
 
-@pytest.mark.parametrize("Xq, side, match", [
-    (np.zeros((3, 1)), "v", "4 columns"),
-    (np.full((3, 4), np.nan), "v", "non-finite"),
-    (np.full((3, 4), np.inf), "v", "non-finite"),
-    (np.zeros((3, 4)), "w", "side"),
-], ids=["width", "nan", "inf", "side"])
-def test_feature_map_rejects_bad_queries(rng, Xq, side, match):
+@pytest.mark.parametrize("Xq, match", [
+    (np.zeros((3, 1)), "4 columns"),
+    (np.full((3, 4), np.nan), "non-finite"),
+    (np.full((3, 4), np.inf), "non-finite"),
+], ids=["width", "nan", "inf"])
+def test_feature_map_rejects_bad_queries(rng, Xq, match):
     fact = kernel.gaussian_lowrank_factor(rng.normal(size=(20, 4)) * 0.4, 1e-6)
     with pytest.raises(ValidationError, match=match):
-        kernel.feature_map(fact, Xq, side=side)
+        kernel.feature_map(fact, Xq)
 
 
 def _traced_peak(fn, *args):

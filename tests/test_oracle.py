@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rankqp import build_qp_instance, oracle
+from rankqp import barrier, build_qp_instance, oracle
 from rankqp.barrier import BlockDomain
-from rankqp.exceptions import ValidationError
+from rankqp.exceptions import DomainError, ValidationError
 
 from conftest import random_lowrank_instance
 
@@ -23,6 +23,36 @@ def test_two_point_svm_qp():
                              U=[[1.0], [1.0]], V=[[1.0], [1.0]])
     x, s, y, rep = oracle.dense_solve_qp(inst, tol=1e-10)
     assert np.abs(x - 0.5).max() <= 1e-6
+
+
+@pytest.mark.parametrize("error, swallowed", [
+    (DomainError("projection not interior"), True),
+    (np.linalg.LinAlgError("singular AA'"), True),
+    (KeyError("unrelated fault"), False),
+], ids=["domain", "linalg", "other"])
+def test_feasibility_projection_catches_only_expected_failures(monkeypatch, error, swallowed):
+    # The projection's interiority check is the oracle's first; a failure
+    # there either skips the projection (the two expected failures) or
+    # propagates.
+    inst = build_qp_instance(c=[-1.0, -1.0], A=[[1.0, -1.0]], b=[0.0],
+                             blocks=[BlockDomain.nonneg_box(20.0)] * 2,
+                             U=[[1.0], [1.0]], V=[[1.0], [1.0]])
+    real, calls = barrier.check_interior, []
+
+    def fail_first(lo, hi, x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise error
+        return real(lo, hi, x)
+
+    monkeypatch.setattr(barrier, "check_interior", fail_first)
+    if swallowed:
+        x = oracle.dense_solve_qp(inst, tol=1e-10)[0]
+        assert np.abs(x - 0.5).max() <= 1e-6
+    else:
+        with pytest.raises(KeyError, match="unrelated fault"):
+            oracle.dense_solve_qp(inst, tol=1e-10)
+    assert calls
 
 
 def test_oracle_dominates_grid(rng):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rankqp import barrier
+from rankqp import barrier, kernel, sketch
 from rankqp.cpm import CentralPathMaintenance, restart_threshold
 from rankqp.exactds import ExactDS, UpdateDeltas
+from rankqp.exceptions import ValidationError
 from rankqp.ipm import IpmParams
 from rankqp.sketch import (ApproxDS, BatchSketch, PartitionTree, VectorSketch,
                            jl_sketch_matrix)
@@ -193,6 +194,23 @@ def _fresh_batch(rng, n, k=3, m=2, seed=0):
     ss = rng.normal(size=n)
     return BatchSketch(n, h, hhat, htil, xs, ss, _zero_betas(k, m),
                        delta_apx=0.01, seed=seed)
+
+
+def test_sketch_over_the_byte_cap_is_refused_before_allocating(rng, monkeypatch):
+    n, k, m = 40, 3, 2
+    r = jl_sketch_matrix(n, 0.01, seed=0)[1]
+    need = 8 * 2 * 64 * r * (3 + k + m)  # 64 heap leaves over 40 coordinates
+    monkeypatch.setattr(kernel, "_FACTOR_BYTES_CAP", need)
+    assert _fresh_batch(rng, n, k, m).sk.vals.nbytes == need
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated a refused sketch")
+
+    monkeypatch.setattr(kernel, "_FACTOR_BYTES_CAP", need - 1)
+    monkeypatch.setattr(sketch, "jl_sketch_matrix", allocate)
+    monkeypatch.setattr(sketch, "VectorSketch", allocate)
+    with pytest.raises(ValidationError, match=f"needs {need} bytes.*cap of {need - 1} bytes"):
+        _fresh_batch(rng, n, k, m)
 
 
 def test_query_no_movement_is_empty(rng):
