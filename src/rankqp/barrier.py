@@ -4,7 +4,10 @@ Every variable block handled by this package is a one-dimensional interval,
 so barriers, gradients and Hessians are scalar per block and the weighted
 Hessian H_{w,x} is diagonal.  The auxiliary coordinate introduced by the
 initial-point augmentation lives on the half line [0, inf) and uses a
-one-sided log barrier.
+one-sided log barrier: -log(x - lo) - log(hi - x) on a box, -log(x - lo) on
+the half line.  Blocks are packed into lo/hi arrays once per instance
+(hi = +inf marks a half line), and ``grad_vec``/``hess_vec`` evaluate the
+derivatives of every block at once.
 """
 from __future__ import annotations
 
@@ -15,9 +18,6 @@ import numpy as np
 
 from .exceptions import DomainError, ValidationError
 
-BOX = "box"
-HALF_LINE = "half_line"
-
 
 @dataclass(frozen=True)
 class BlockDomain:
@@ -27,7 +27,6 @@ class BlockDomain:
     bounded box (sum of two log terms), 1 for the half line.
     """
 
-    kind: str
     lo: float
     hi: float
     nu: float
@@ -38,18 +37,18 @@ class BlockDomain:
         _check_finite_bound("hi", hi)
         if not lo < hi:
             raise ValidationError(f"box requires lo < hi, got [{lo}, {hi}]")
-        return BlockDomain(BOX, float(lo), float(hi), 2.0)
+        return BlockDomain(float(lo), float(hi), 2.0)
 
     @staticmethod
     def nonneg_box(cap):
         _check_finite_bound("cap", cap)
         if not cap > 0:
             raise ValidationError(f"cap must be positive, got {cap}")
-        return BlockDomain(BOX, 0.0, float(cap), 2.0)
+        return BlockDomain(0.0, float(cap), 2.0)
 
     @staticmethod
     def half_line():
-        return BlockDomain(HALF_LINE, 0.0, math.inf, 1.0)
+        return BlockDomain(0.0, math.inf, 1.0)
 
 
 def _check_finite_bound(name, value):
@@ -58,44 +57,6 @@ def _check_finite_bound(name, value):
     if not math.isfinite(value):
         raise ValidationError(f"box bound {name} must be finite, got {value}")
 
-
-def barrier_eval(domain: BlockDomain, x: float):
-    """Value, gradient and Hessian of the block barrier at a strictly interior x.
-
-    Box barrier: -log(x - lo) - log(hi - x); half line: -log(x - lo).
-    """
-    a = x - domain.lo
-    if domain.kind == HALF_LINE:
-        if a <= 0:
-            raise DomainError(f"point {x} not interior to [{domain.lo}, inf)")
-        return -math.log(a), -1.0 / a, 1.0 / a**2
-    b = domain.hi - x
-    if a <= 0 or b <= 0:
-        raise DomainError(f"point {x} not interior to [{domain.lo}, {domain.hi}]")
-    value = -math.log(a) - math.log(b)
-    grad = -1.0 / a + 1.0 / b
-    hess = 1.0 / a**2 + 1.0 / b**2
-    return value, grad, hess
-
-
-def barrier_third_derivative(domain: BlockDomain, x: float):
-    # Used only by self-concordance spot checks.
-    a = x - domain.lo
-    if domain.kind == HALF_LINE:
-        return -2.0 / a**3
-    b = domain.hi - x
-    return -2.0 / a**3 + 2.0 / b**3
-
-
-def analytic_center(domain: BlockDomain) -> float:
-    """Minimizer of the block barrier (midpoint of a box)."""
-    if domain.kind == HALF_LINE:
-        raise DomainError("half-line barrier has no analytic center")
-    return 0.5 * (domain.lo + domain.hi)
-
-
-# Vectorized interface.  Blocks are packed into lo/hi arrays once per
-# instance; hi = +inf marks half-line blocks.
 
 def pack_bounds(blocks):
     lo = np.array([d.lo for d in blocks], dtype=float)
@@ -148,12 +109,6 @@ def metric_at(lo, hi, w, x) -> LocalMetric:
     check_interior(lo, hi, x)
     h = hess_vec(lo, hi, x)
     return LocalMetric(hdiag=h, whdiag=w * h, w=w)
-
-
-def local_norms(metric: LocalMetric, i: int, v: float):
-    """Per-block local norm ||v||_{x_i} and its dual ||v||*_{x_i}."""
-    h = metric.hdiag[i]
-    return abs(v) * math.sqrt(h), abs(v) / math.sqrt(h)
 
 
 def weighted_norm(metric: LocalMetric, v):

@@ -21,6 +21,7 @@ from . import barrier, ipm, kernel, model, oracle, svm
 from .exceptions import (InvariantViolation, ParseError, RankQPError,
                          SolverError, ValidationError)
 from .libsvm_io import parse_libsvm
+from .svm import dump_model, load_model
 
 SCHEMA = 2
 EXIT_OK = 0
@@ -173,10 +174,12 @@ def _cmd_verify(args):
     inst = load_instance_json(args.instance)
     with open(args.report_file, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    sol = report["solution"]
-    fresh = _kkt_block(inst, np.array(sol["x"]), np.array(sol["s"]), np.array(sol["y"]))
-    stored = report["kkt"]
-    worst = max(abs(fresh[k] - stored[k]) / max(1.0, abs(stored[k])) for k in fresh)
+    try:
+        sol, stored = report["solution"], report["kkt"]
+        fresh = _kkt_block(inst, np.array(sol["x"]), np.array(sol["s"]), np.array(sol["y"]))
+        worst = max(abs(fresh[k] - stored[k]) / max(1.0, abs(stored[k])) for k in fresh)
+    except KeyError as exc:
+        raise ValidationError(f"report to verify has no field {exc}") from exc
     ok = worst <= args.tolerance
     _write_report({"schema": SCHEMA, "command": "verify",
                    "recomputed": fresh, "stored": stored,
@@ -198,88 +201,10 @@ def _cmd_predict(args):
     dec, labels = svm.predict(mdl, X)
     report = {"schema": SCHEMA, "command": "predict",
               "decision_values": dec, "labels": labels}
-    if ds.y.size and mdl.spec.variant in ("hard", "c-svc", "nu-svc"):
+    if ds.y.size and mdl.spec.variant in svm.CLASSIFICATION:
         report["accuracy"] = float(np.mean(np.sign(dec) == ds.y))
     _write_report(report, args.report)
     return EXIT_OK
-
-
-# -- plain-text model file ----------------------------------------------------
-#
-# The header line, then one "key value" line each for variant, kernel, C,
-# nu, eps_tube, box_cap and bias, then the arrays X, y (absent for
-# one-class) and alpha, each as a "name shape..." line followed by a line of
-# values.  Floats are written with repr, so a round trip is bit exact.
-
-MODEL_HEADER = "rankqp-svm-model 2"
-_SPEC_FLOATS = ("C", "nu", "eps_tube", "box_cap")
-
-
-def _write_array(fh, name, a):
-    a = np.asarray(a, dtype=float)
-    fh.write(" ".join([name, *map(str, a.shape)]) + "\n")
-    fh.write(" ".join(repr(float(v)) for v in a.ravel()) + "\n")
-
-
-def _read_field(lines, name):
-    parts = lines.pop(0).split()
-    if len(parts) < 2 or parts[0] != name:
-        raise ParseError(f"expected {name}, got {' '.join(parts)!r}")
-    return parts[1:]
-
-
-def _read_array(lines, name):
-    shape = tuple(int(v) for v in _read_field(lines, name))
-    vals = np.array([float(t) for t in lines.pop(0).split()])
-    if vals.size != int(np.prod(shape)):
-        raise ParseError(f"section {name}: expected {shape} values, got {vals.size}")
-    return vals.reshape(shape)
-
-
-def dump_model(mdl: svm.SvmModel, path):
-    spec = mdl.spec
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MODEL_HEADER + "\n")
-        fh.write(f"variant {spec.variant}\nkernel {spec.kernel}\n")
-        for name in _SPEC_FLOATS:
-            value = getattr(spec, name)
-            fh.write(f"{name} {None if value is None else float(value)!r}\n")
-        fh.write(f"bias {float(mdl.bias)!r}\n")
-        _write_array(fh, "X", spec.X)
-        if spec.y is not None:
-            _write_array(fh, "y", spec.y)
-        _write_array(fh, "alpha", mdl.alpha)
-
-
-def load_model(path):
-    """Read a model file back into an SvmModel; the spec is validated again."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines.pop(0).strip() != MODEL_HEADER:
-        raise ParseError(f"not a {MODEL_HEADER!r} file", line=1)
-    try:
-        variant = _read_field(lines, "variant")[0]
-        kern = _read_field(lines, "kernel")[0]
-        params = {}
-        for name in _SPEC_FLOATS:
-            text = _read_field(lines, name)[0]
-            params[name] = None if text == "None" else float(text)
-        bias = float(_read_field(lines, "bias")[0])
-        X = _read_array(lines, "X")
-        y = None if variant == "one-class" else _read_array(lines, "y")
-        alpha = _read_array(lines, "alpha")
-    except ParseError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"malformed model file: {exc}") from None
-    spec = svm.SvmSpec(X=X, y=y, variant=variant, kernel=kern, **params)
-    dim = 2 * X.shape[0] if variant in ("eps-svr", "nu-svr") else X.shape[0]
-    if alpha.shape != (dim,) or not np.all(np.isfinite(alpha)) or not np.isfinite(bias):
-        raise ParseError(f"model needs {dim} finite alpha values and a finite bias")
-    # recover_primal reads the bias as minus the first equality multiplier,
-    # so [-bias] gives back the stored bias along with the derived w.
-    w, bias = svm.recover_primal(alpha, spec, [-bias])
-    return svm.SvmModel(spec=spec, alpha=alpha, bias=bias, w=w)
 
 
 def build_parser():

@@ -19,6 +19,7 @@ in either mode.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -124,7 +125,7 @@ def step_direction(mu, gamma, params: IpmParams, w):
     return -params.alpha * coef * mu
 
 
-def _solve_normal(G, rhs, context, counts=None):
+def _solve_normal(G, rhs, counts=None):
     """Solve with the positive semidefinite normal matrix G.  A numerically
     singular G is retried once with a 1e-12 tr(G)/m ridge, and the retry is
     counted in ``counts["ridge_uses"]``."""
@@ -136,30 +137,44 @@ def _solve_normal(G, rhs, context, counts=None):
     try:
         sol = scipy.linalg.solve(G + reg * np.eye(G.shape[0]), rhs, assume_a="pos")
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SolverError(f"{context}: normal matrix numerically singular") from exc
+        raise SolverError("normal matrix A B^-1 A' numerically singular") from exc
     if counts is not None:
         counts["ridge_uses"] += 1
     return sol
 
 
-def factor_step_matrix(inst: model.QPInstance, d, backend="dense"):
-    """Factor B = Q + diag(d) once; returns rhs -> B^-1 rhs (vector or columns).
+def factor_newton(inst: model.QPInstance, d, backend, counts=None):
+    """Factor B = Q + diag(d) once; returns (r, r_p) -> (dx, dy) solving
 
-    "dense" forms B and takes its Cholesky factor (LU if B is not numerically
-    positive definite); "woodbury" keeps Q = UV' factored and applies B^-1
-    through the k x k capacitance, never forming an n x n matrix.
+        B dx + A'dy = r,   A dx = r_p
+
+    through the Schur complement S = A B^-1 A'.  "dense" forms B and takes
+    its Cholesky factor (LU if B is not numerically positive definite);
+    "woodbury" keeps Q = UV' factored and applies B^-1 through the k x k
+    capacitance, never forming an n x n matrix.  A ridged solve with S is
+    counted in ``counts["ridge_uses"]`` (see _solve_normal).
     """
     if backend == "dense":
         B = inst.q_dense() + np.diag(d)
         try:
-            cho = scipy.linalg.cho_factor(B)
-            return lambda v: scipy.linalg.cho_solve(cho, v)
+            binv = functools.partial(scipy.linalg.cho_solve, scipy.linalg.cho_factor(B))
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
-            lu = scipy.linalg.lu_factor(B)
-            return lambda v: scipy.linalg.lu_solve(lu, v)
-    if backend == "woodbury":
-        return exactds.woodbury_factor(d, inst.U, inst.V, 1.0)
-    raise ValidationError(f"unknown backend {backend!r}")
+            binv = functools.partial(scipy.linalg.lu_solve, scipy.linalg.lu_factor(B))
+    elif backend == "woodbury":
+        binv = exactds.woodbury_factor(d, inst.U, inst.V, 1.0)
+    else:
+        raise ValidationError(f"unknown backend {backend!r}")
+    if not inst.m:
+        return lambda r, r_p: (binv(r), np.zeros(0))
+    BiAt = binv(inst.A.T)
+    S = inst.A @ BiAt
+
+    def solve(r, r_p):
+        z = binv(r)
+        dy = _solve_normal(S, inst.A @ z - r_p, counts)
+        return z - BiAt @ dy, dy
+
+    return solve
 
 
 def central_path_step(inst: model.QPInstance, x_bar, s_bar, t_bar, delta_mu,
@@ -173,15 +188,9 @@ def central_path_step(inst: model.QPInstance, x_bar, s_bar, t_bar, delta_mu,
     A ridged normal solve is counted in ``counts["ridge_uses"]``.
     """
     hw = inst.w * barrier.hess_vec(inst.lo, inst.hi, x_bar)
-    binv = factor_step_matrix(inst, t_bar * hw, backend)
-    z = binv(delta_mu)
-    if inst.m:
-        BiAt = binv(inst.A.T)
-        xi = _solve_normal(inst.A @ BiAt, inst.A @ z, "central_path_step", counts)
-        dx = t_bar * (z - BiAt @ xi)
-    else:
-        xi = np.zeros(0)
-        dx = t_bar * z
+    solve = factor_newton(inst, t_bar * hw, backend, counts)
+    z, xi = solve(delta_mu, np.zeros(inst.m))
+    dx = t_bar * z
     ds = t_bar * (delta_mu - hw * dx)
     dy = t_bar * xi
     return dx, ds, dy
@@ -299,18 +308,10 @@ def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
         if it >= max_iter:
             raise SolverError(f"predictor-corrector exceeded {max_iter} iterations")
         r_d = zl - zu - s
-        binv = factor_step_matrix(inst, zl / gl + zu / gu, backend)
-        BiAt = binv(At) if inst.m else None
-        S = inst.A @ BiAt if inst.m else None
+        solve = factor_newton(inst, zl / gl + zu / gu, backend, counts)
 
         def newton(rl, ru):
-            z = binv(r_d + rl / gl - ru / gu)
-            if inst.m:
-                dy = _solve_normal(S, inst.A @ z - r_p, "predictor_corrector", counts)
-                dx = z - BiAt @ dy
-            else:
-                dy = np.zeros(0)
-                dx = z
+            dx, dy = solve(r_d + rl / gl - ru / gu, r_p)
             return dx, dy, (rl - zl * dx) / gl, (ru + zu * dx) / gu
 
         # Every gap and multiplier must stay positive.

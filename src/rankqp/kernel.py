@@ -160,12 +160,6 @@ class KernelFactorization:
     shift: np.ndarray        # centroid subtracted before featurization
     kept_columns: np.ndarray  # bool per candidate column (b0, m): True where kept
 
-    def entry_error_bound(self):
-        return self.sup_error + self.prune_slack
-
-    def matvec(self, v):
-        return self.U @ (self.V.T @ v)
-
 
 def _feature_blocks(Xc, q, coeffs, sides):
     """Feature matrices for each requested side ("u", "v"), all built from

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import barrier
-from .exceptions import ValidationError
+from .exceptions import DomainError, ValidationError
 
 _PSD_CHECK_LIMIT = 400  # eigensolve cap for the dense PSD sanity check
 _SYM_TOL = 1e-10
@@ -100,6 +100,8 @@ def build_qp_instance(c, A, b, blocks, weights=None, R=None, r=None, L=None,
     c = np.atleast_1d(np.asarray(c, dtype=float))
     n = c.shape[0]
     if A is None or np.size(A) == 0:
+        if b is not None and np.size(b):
+            raise ValidationError(f"b has {np.size(b)} entries but A has no rows")
         A = np.zeros((0, n))
         b = np.zeros(0)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -183,7 +185,10 @@ class AugmentedInstance:
 
 
 def analytic_center_point(inst: QPInstance):
-    return np.array([barrier.analytic_center(d) for d in inst.blocks])
+    """Minimizer of the box barriers, the midpoint of every box."""
+    if np.isinf(inst.hi).any():
+        raise DomainError("half-line barrier has no analytic center")
+    return 0.5 * (inst.lo + inst.hi)
 
 
 def augment_for_initial_point(inst: QPInstance, eps: float):

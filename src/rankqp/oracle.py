@@ -37,11 +37,6 @@ class KktReport:
     dual_domain: float         # max_i ||s_i/t + w_i grad phi_i||*_{x_i}, nan if t unknown
     duality_gap: float         # box complementarity bound on f(x) - OPT
 
-    def all_finite(self):
-        vals = [self.objective, self.stationarity, self.primal_residual_l1,
-                self.duality_gap]
-        return all(math.isfinite(v) for v in vals)
-
 
 def duality_gap(inst: model.QPInstance, x, s):
     """Box complementarity sum_i s_i^+ (x_i - lo_i) + s_i^- (hi_i - x_i).

@@ -101,12 +101,6 @@ class PartitionTree:
     def interval(self, v):
         return int(self.lo[v]), int(self.hi[v])
 
-    def is_empty(self, v):
-        return self.lo[v] >= self.hi[v]
-
-    def is_leaf(self, v):
-        return self.hi[v] - self.lo[v] == 1
-
     def children(self, v):
         return [int(c) for c in self.kids[v] if c]
 

@@ -4,7 +4,8 @@ Every variant becomes  min 1/2 a'Qa + p'a  over a box with one or two
 equality rows; maximization forms are negated in and the reported dual
 objective negated back out.  Classification objectives carry
 Q = (yy') o K through label-scaled kernel factors, regression variants
-stack to dimension 2n with factors [U; -U], [V; -V].
+stack to dimension 2n with factors [U; -U], [V; -V].  The plain-text model
+file (``dump_model``/``load_model``) is kept here beside the model it holds.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import barrier, ipm, kernel, model
-from .exceptions import ValidationError
+from .exceptions import ParseError, ValidationError
 
 VARIANTS = ("hard", "c-svc", "nu-svc", "one-class", "eps-svr", "nu-svr")
-_CLASSIFICATION = ("hard", "c-svc", "nu-svc")
+CLASSIFICATION = ("hard", "c-svc", "nu-svc")
 _SUPPORT_REL = 1e-5
 
 
@@ -53,10 +54,12 @@ class SvmSpec:
                 raise ValidationError(f"variant {self.variant} needs labels")
             if self.y.shape != (n,):
                 raise ValidationError("labels must be one per row of X")
-        if self.variant in _CLASSIFICATION and not np.all(np.abs(self.y) == 1.0):
+        if self.variant in CLASSIFICATION and not np.all(np.abs(self.y) == 1.0):
             raise ValidationError("classification labels must be +1 or -1")
         if self.variant in ("c-svc", "eps-svr", "nu-svr") and not self.C > 0:
             raise ValidationError("C must be positive")
+        if self.variant == "hard" and self.box_cap is not None and not self.box_cap > 0:
+            raise ValidationError(f"box_cap must be positive, got {self.box_cap}")
         if self.variant in ("nu-svc", "one-class", "nu-svr"):
             if not 0 < self.nu <= 1:
                 raise ValidationError("nu must lie in (0, 1]")
@@ -69,6 +72,21 @@ class SvmSpec:
                     f"nu-SVC infeasible: nu={self.nu} exceeds 2*min(k-,k+)/n={bound:.6g}")
         if self.variant == "eps-svr" and not self.eps_tube >= 0:
             raise ValidationError("eps_tube must be nonnegative")
+
+
+def dual_box(spec: SvmSpec):
+    """(cap, dim): the variant's dual lives in the box [0, cap]^dim, with
+    dim = 2n for the stacked regression duals and n otherwise."""
+    n = spec.X.shape[0]
+    if spec.variant == "hard":
+        cap = 10.0 * n if spec.box_cap is None else spec.box_cap
+    elif spec.variant in ("c-svc", "eps-svr"):
+        cap = spec.C
+    elif spec.variant == "nu-svr":
+        cap = spec.C / n
+    else:
+        cap = 1.0 / n
+    return cap, 2 * n if spec.variant in ("eps-svr", "nu-svr") else n
 
 
 def _kernel_factors(spec: SvmSpec, eps_factor):
@@ -95,7 +113,6 @@ class ReducedQP:
     instance: model.QPInstance
     maximization: bool
     factor_report: dict = None     # Gaussian factor's degree, rank and errors; None for linear
-    dim: int = 0
 
 
 def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
@@ -114,7 +131,7 @@ def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
     # trace(UV') without an n x k temporary; equals trace(K) up to eps
     trace_bound = float(np.einsum("ij,ij->", U, V))
 
-    if spec.variant in _CLASSIFICATION:
+    if spec.variant in CLASSIFICATION:
         U, V = kernel.scale_by_labels(U, V, spec.y, in_place=gaussian)
     elif spec.variant in ("eps-svr", "nu-svr"):
         # Rebinding U drops the unstacked factor before V is stacked.
@@ -124,46 +141,37 @@ def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
         trace_bound *= 2.0
 
     if spec.variant in ("hard", "c-svc"):
-        cap = spec.C if spec.variant == "c-svc" else (spec.box_cap or 10.0 * n)
         p = -ones
         A = spec.y[None, :]
         b = np.zeros(1)
-        boxes = [barrier.BlockDomain.nonneg_box(cap)] * n
-        maximization = True
     elif spec.variant == "nu-svc":
         p = np.zeros(n)
         A = np.vstack([spec.y, ones])
         b = np.array([0.0, spec.nu])
-        boxes = [barrier.BlockDomain.nonneg_box(1.0 / n)] * n
-        maximization = False
     elif spec.variant == "one-class":
         p = np.zeros(n)
         A = ones[None, :]
         b = np.array([spec.nu])
-        boxes = [barrier.BlockDomain.nonneg_box(1.0 / n)] * n
-        maximization = False
     elif spec.variant == "eps-svr":
         p = np.concatenate([spec.eps_tube * ones + spec.y,
                             spec.eps_tube * ones - spec.y])
         A = np.concatenate([ones, -ones])[None, :]
         b = np.zeros(1)
-        boxes = [barrier.BlockDomain.nonneg_box(spec.C)] * (2 * n)
-        maximization = False
     else:  # nu-svr
         p = np.concatenate([spec.y, -spec.y])
         A = np.vstack([np.concatenate([ones, -ones]),
                        np.concatenate([ones, ones])])
         b = np.array([0.0, spec.C * spec.nu])
-        boxes = [barrier.BlockDomain.nonneg_box(spec.C / n)] * (2 * n)
-        maximization = False
 
+    cap, dim = dual_box(spec)
+    boxes = [barrier.BlockDomain.nonneg_box(cap)] * dim
     caps = np.array([d.hi for d in boxes])
     R = float(np.linalg.norm(caps))
     r = float(caps.min()) / 4.0
     L = max(float(np.linalg.norm(p)), abs(trace_bound) * 1.05, 1.0)
     inst = model.build_qp_instance(p, A, b, boxes, R=R, r=r, L=L, U=U, V=V)
-    return ReducedQP(instance=inst, maximization=maximization,
-                     factor_report=factor_report, dim=inst.n)
+    return ReducedQP(instance=inst, maximization=spec.variant in ("hard", "c-svc"),
+                     factor_report=factor_report)
 
 
 @dataclass
@@ -184,7 +192,7 @@ class SvmModel:
 def _dual_coef(spec, alpha):
     """Coefficient on K(x_j, .) in the decision function."""
     n = spec.X.shape[0]
-    if spec.variant in _CLASSIFICATION:
+    if spec.variant in CLASSIFICATION:
         return alpha * spec.y
     if spec.variant == "one-class":
         return alpha
@@ -244,7 +252,8 @@ def train(spec: SvmSpec, eps_solve=1e-4):
     to ("kernel_eps")."""
     n = spec.X.shape[0]
     if spec.kernel == "gaussian":
-        R_est = _outer_radius_estimate(spec)
+        cap, dim = dual_box(spec)
+        R_est = cap * math.sqrt(dim)
         target = eps_solve / (max(n, 2) * R_est**2)
         eps1 = min(max(target, 1e-12), 1e-3)
     else:
@@ -273,20 +282,6 @@ def train(spec: SvmSpec, eps_solve=1e-4):
                     solve_report=report)
 
 
-def _outer_radius_estimate(spec):
-    n = spec.X.shape[0]
-    if spec.variant in ("hard",):
-        cap = spec.box_cap or 10.0 * n
-    elif spec.variant in ("c-svc", "eps-svr"):
-        cap = spec.C
-    elif spec.variant == "nu-svr":
-        cap = spec.C / n
-    else:
-        cap = 1.0 / n
-    dim = 2 * n if spec.variant in ("eps-svr", "nu-svr") else n
-    return cap * math.sqrt(dim)
-
-
 def predict(mdl: SvmModel, Xq):
     """Decision values and labels for query points.
 
@@ -304,8 +299,86 @@ def predict(mdl: SvmModel, Xq):
     if not np.all(np.isfinite(Xq)):
         raise ValidationError("query points have non-finite entries")
     f_nb = _decision_sum(mdl.spec, _dual_coef(mdl.spec, mdl.alpha), Xq)
-    if mdl.spec.variant in _CLASSIFICATION or mdl.spec.variant == "one-class":
+    if mdl.spec.variant in CLASSIFICATION or mdl.spec.variant == "one-class":
         dec = f_nb - mdl.bias
         return dec, np.sign(dec)
     dec = f_nb + mdl.bias
     return dec, dec
+
+
+# -- plain-text model file ----------------------------------------------------
+#
+# The header line, then one "key value" line each for variant, kernel, C,
+# nu, eps_tube, box_cap and bias, then the arrays X, y (absent for
+# one-class) and alpha, each as a "name shape..." line followed by a line of
+# values.  Floats are written with repr, so a round trip is bit exact.
+
+MODEL_HEADER = "rankqp-svm-model 2"
+_SPEC_FLOATS = ("C", "nu", "eps_tube", "box_cap")
+
+
+def _write_array(fh, name, a):
+    a = np.asarray(a, dtype=float)
+    fh.write(" ".join([name, *map(str, a.shape)]) + "\n")
+    fh.write(" ".join(repr(float(v)) for v in a.ravel()) + "\n")
+
+
+def _read_field(lines, name):
+    parts = lines.pop(0).split()
+    if len(parts) < 2 or parts[0] != name:
+        raise ParseError(f"expected {name}, got {' '.join(parts)!r}")
+    return parts[1:]
+
+
+def _read_array(lines, name):
+    shape = tuple(int(v) for v in _read_field(lines, name))
+    vals = np.array([float(t) for t in lines.pop(0).split()])
+    if vals.size != int(np.prod(shape)):
+        raise ParseError(f"section {name}: expected {shape} values, got {vals.size}")
+    return vals.reshape(shape)
+
+
+def dump_model(mdl: SvmModel, path):
+    spec = mdl.spec
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(MODEL_HEADER + "\n")
+        fh.write(f"variant {spec.variant}\nkernel {spec.kernel}\n")
+        for name in _SPEC_FLOATS:
+            value = getattr(spec, name)
+            fh.write(f"{name} {None if value is None else float(value)!r}\n")
+        fh.write(f"bias {float(mdl.bias)!r}\n")
+        _write_array(fh, "X", spec.X)
+        if spec.y is not None:
+            _write_array(fh, "y", spec.y)
+        _write_array(fh, "alpha", mdl.alpha)
+
+
+def load_model(path):
+    """Read a model file back into an SvmModel; the spec is validated again."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines.pop(0).strip() != MODEL_HEADER:
+        raise ParseError(f"not a {MODEL_HEADER!r} file", line=1)
+    try:
+        variant = _read_field(lines, "variant")[0]
+        kern = _read_field(lines, "kernel")[0]
+        params = {}
+        for name in _SPEC_FLOATS:
+            text = _read_field(lines, name)[0]
+            params[name] = None if text == "None" else float(text)
+        bias = float(_read_field(lines, "bias")[0])
+        X = _read_array(lines, "X")
+        y = None if variant == "one-class" else _read_array(lines, "y")
+        alpha = _read_array(lines, "alpha")
+    except ParseError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise ParseError(f"malformed model file: {exc}") from None
+    spec = SvmSpec(X=X, y=y, variant=variant, kernel=kern, **params)
+    _, dim = dual_box(spec)
+    if alpha.shape != (dim,) or not np.all(np.isfinite(alpha)) or not np.isfinite(bias):
+        raise ParseError(f"model needs {dim} finite alpha values and a finite bias")
+    # recover_primal reads the bias as minus the first equality multiplier,
+    # so [-bias] gives back the stored bias along with the derived w.
+    w, bias = recover_primal(alpha, spec, [-bias])
+    return SvmModel(spec=spec, alpha=alpha, bias=bias, w=w)

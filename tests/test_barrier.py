@@ -3,32 +3,48 @@ import math
 import numpy as np
 import pytest
 
-from rankqp import barrier
+from rankqp import barrier, model
 from rankqp.barrier import BlockDomain
 from rankqp.exceptions import DomainError, ValidationError
 
 
+def _derivs(blocks, x):
+    lo, hi, _ = barrier.pack_bounds(blocks)
+    x = np.asarray(x, dtype=float)
+    return barrier.grad_vec(lo, hi, x), barrier.hess_vec(lo, hi, x)
+
+
+def _value(d, x):
+    # The block barrier: -log(x - lo) - log(hi - x), one-sided on the half line.
+    upper = -np.log(d.hi - x) if math.isfinite(d.hi) else 0.0
+    return -np.log(x - d.lo) + upper
+
+
 def test_box_midpoint_values():
-    d = BlockDomain.box(0.0, 2.0)
-    value, grad, hess = barrier.barrier_eval(d, 1.0)
-    assert value == 0.0
-    assert grad == 0.0
-    assert hess == 2.0  # 1/1^2 + 1/1^2
+    g, h = _derivs([BlockDomain.box(0.0, 2.0)], [1.0])
+    assert g[0] == 0.0
+    assert h[0] == 2.0  # 1/1^2 + 1/1^2
 
 
 def test_box_off_center_values():
-    d = BlockDomain.box(0.0, 2.0)
-    value, grad, hess = barrier.barrier_eval(d, 0.5)
-    assert value == pytest.approx(-math.log(0.5) - math.log(1.5), abs=1e-15)
-    assert grad == pytest.approx(-4.0 / 3.0, abs=1e-15)
-    assert hess == pytest.approx(1 / 0.25 + 1 / 2.25, abs=1e-12)
+    g, h = _derivs([BlockDomain.box(0.0, 2.0)] * 2, [0.5, 1.5])
+    assert g[0] == pytest.approx(-4.0 / 3.0, abs=1e-15)
+    assert g[1] == pytest.approx(4.0 / 3.0, abs=1e-15)
+    assert h == pytest.approx([1 / 0.25 + 1 / 2.25] * 2, abs=1e-12)
+    g, h = _derivs([BlockDomain.half_line()], [0.5])
+    assert (g[0], h[0]) == (-2.0, 4.0)
 
 
 @pytest.mark.parametrize("x", [0.0, 2.0, -0.5, 2.5])
 def test_boundary_and_exterior_rejected(x):
-    d = BlockDomain.box(0.0, 2.0)
+    lo, hi, _ = barrier.pack_bounds([BlockDomain.box(0.0, 2.0), BlockDomain.half_line()])
     with pytest.raises(DomainError):
-        barrier.barrier_eval(d, x)
+        barrier.check_interior(lo, hi, np.array([x, 1.0]))
+    if x > 0:  # the half line has no upper wall
+        barrier.check_interior(lo, hi, np.array([1.0, x]))
+    else:
+        with pytest.raises(DomainError):
+            barrier.check_interior(lo, hi, np.array([1.0, x]))
 
 
 def test_bad_box_rejected():
@@ -38,62 +54,56 @@ def test_bad_box_rejected():
         BlockDomain.nonneg_box(0.0)
 
 
+def _sample(rng, d, size):
+    hi = d.hi if math.isfinite(d.hi) else d.lo + 10.0
+    return rng.uniform(d.lo + 0.05 * (hi - d.lo), hi - 0.05 * (hi - d.lo), size=size)
+
+
 def test_gradient_matches_finite_differences(rng):
     domains = [BlockDomain.box(-1.0, 3.0), BlockDomain.nonneg_box(5.0),
                BlockDomain.box(0.0, 2.0), BlockDomain.half_line()]
     checked = 0
     for d in domains:
-        hi = d.hi if math.isfinite(d.hi) else d.lo + 10.0
-        xs = rng.uniform(d.lo + 0.05 * (hi - d.lo), hi - 0.05 * (hi - d.lo), size=250)
-        for x in xs:
-            _, g, h = barrier.barrier_eval(d, x)
-            eps = 1e-6 * max(1.0, abs(x))
-            vp = barrier.barrier_eval(d, x + eps)[0]
-            vm = barrier.barrier_eval(d, x - eps)[0]
-            g_fd = (vp - vm) / (2 * eps)
-            assert abs(g - g_fd) <= 1e-6 * max(1.0, abs(g))
-            gp = barrier.barrier_eval(d, x + eps)[1]
-            gm = barrier.barrier_eval(d, x - eps)[1]
-            h_fd = (gp - gm) / (2 * eps)
-            assert abs(h - h_fd) <= 1e-5 * max(1.0, abs(h))
-            checked += 1
+        x = _sample(rng, d, 250)
+        blocks = [d] * x.size
+        g, h = _derivs(blocks, x)
+        eps = 1e-6 * np.maximum(1.0, np.abs(x))
+        g_fd = (_value(d, x + eps) - _value(d, x - eps)) / (2 * eps)
+        assert np.all(np.abs(g - g_fd) <= 1e-6 * np.maximum(1.0, np.abs(g)))
+        h_fd = (_derivs(blocks, x + eps)[0] - _derivs(blocks, x - eps)[0]) / (2 * eps)
+        assert np.all(np.abs(h - h_fd) <= 1e-5 * np.maximum(1.0, np.abs(h)))
+        checked += x.size
     assert checked == 1000
 
 
 def test_self_concordance_spot_check(rng):
+    # |phi'''| <= 2 phi''^{3/2}, with phi''' a central difference of hess_vec.
     d = BlockDomain.box(0.0, 2.0)
-    xs = rng.uniform(0.05, 1.95, size=300)
-    for x in xs:
-        _, _, h = barrier.barrier_eval(d, x)
-        third = barrier.barrier_third_derivative(d, x)
-        assert abs(third) <= 2.0 * h**1.5 + 1e-9
+    x = rng.uniform(0.05, 1.95, size=300)
+    blocks = [d] * x.size
+    _, h = _derivs(blocks, x)
+    eps = 1e-6
+    third = (_derivs(blocks, x + eps)[1] - _derivs(blocks, x - eps)[1]) / (2 * eps)
+    assert np.all(np.abs(third) <= 2.0 * h**1.5 * (1 + 1e-6) + 1e-9)
 
 
 def test_nu_bound(rng):
     # ||grad phi||*_x^2 <= nu at interior points
     for d in [BlockDomain.box(0.0, 2.0), BlockDomain.nonneg_box(7.0), BlockDomain.half_line()]:
         hi = d.hi if math.isfinite(d.hi) else 50.0
-        xs = rng.uniform(d.lo + 1e-3, hi - 1e-3, size=200)
-        for x in xs:
-            _, g, h = barrier.barrier_eval(d, x)
-            assert g * g / h <= d.nu + 1e-9
+        x = rng.uniform(d.lo + 1e-3, hi - 1e-3, size=200)
+        g, h = _derivs([d] * x.size, x)
+        assert np.all(g * g / h <= d.nu + 1e-9)
 
 
 def test_analytic_centers():
-    assert barrier.analytic_center(BlockDomain.box(0.0, 2.0)) == 1.0
-    assert barrier.analytic_center(BlockDomain.nonneg_box(7.0)) == 3.5
+    inst = model.build_qp_instance(
+        c=[0.0, 0.0], A=None, b=[],
+        blocks=[BlockDomain.box(0.0, 2.0), BlockDomain.nonneg_box(7.0)])
+    assert model.analytic_center_point(inst).tolist() == [1.0, 3.5]
+    aug, _, _ = model.augment_for_initial_point(inst, 0.1)
     with pytest.raises(DomainError):
-        barrier.analytic_center(BlockDomain.half_line())
-
-
-def test_local_norms_scalar_cases():
-    w = np.array([1.0])
-    m1 = barrier.LocalMetric(hdiag=np.array([1.0]), whdiag=np.array([1.0]), w=w)
-    assert barrier.local_norms(m1, 0, 3.0) == (3.0, 3.0)
-    m4 = barrier.LocalMetric(hdiag=np.array([4.0]), whdiag=np.array([4.0]), w=w)
-    primal, dual = barrier.local_norms(m4, 0, 1.0)
-    assert primal == pytest.approx(2.0)
-    assert dual == pytest.approx(0.5)
+        model.analytic_center_point(aug.base)
 
 
 def test_aggregate_norms_cauchy_schwarz(rng):

@@ -189,6 +189,36 @@ def test_verify_mismatch_exits_3(qp_instance_file, tmp_path):
     assert cli_run(["verify", str(report), qp_instance_file]) == 3
 
 
+def test_verify_report_without_solution_exits_2(two_point_data, qp_instance_file,
+                                               tmp_path, capsys):
+    train = tmp_path / "train.json"
+    assert cli_run(["train-svm", two_point_data, "--report", str(train)]) == 0
+    assert cli_run(["verify", str(train), qp_instance_file]) == 2
+    assert "'solution'" in capsys.readouterr().err
+    solve = tmp_path / "solve.json"
+    assert cli_run(["solve-qp", qp_instance_file, "--report", str(solve)]) == 0
+    data = json.loads(solve.read_text())
+    del data["kkt"]
+    solve.write_text(json.dumps(data))
+    assert cli_run(["verify", str(solve), qp_instance_file]) == 2
+    assert "'kkt'" in capsys.readouterr().err
+
+
+def test_hard_margin_zero_cap_exits_2(two_point_data, capsys):
+    assert cli_run(["train-svm", two_point_data, "--variant", "hard",
+                    "--radius-R", "0"]) == 2
+    assert "box_cap must be positive" in capsys.readouterr().err
+
+
+def test_rhs_without_rows_exits_2(qp_instance_file, capsys):
+    data = json.loads(open(qp_instance_file).read())
+    data.update(A=[], b=[5.0])
+    with open(qp_instance_file, "w") as fh:
+        json.dump(data, fh)
+    assert cli_run(["solve-qp", qp_instance_file]) == 2
+    assert "A has no rows" in capsys.readouterr().err
+
+
 def test_infeasible_nu_exits_2(tmp_path):
     path = tmp_path / "unbalanced.svm"
     X = np.array([[1.0], [2.0], [3.0], [4.0]])

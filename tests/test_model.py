@@ -25,6 +25,12 @@ def test_factored_instance_shapes():
     assert np.allclose(inst.q_dense(), [[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("A", [None, []])
+def test_rhs_without_rows_rejected(A):
+    with pytest.raises(ValidationError, match="A has no rows"):
+        build_qp_instance(c=[0.0], A=A, b=[5.0], blocks=[BlockDomain.box(0, 2)])
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValidationError):
         build_qp_instance(c=[0.0, 0.0], A=[[1.0, 0.0, 2.0]], b=[0.0],

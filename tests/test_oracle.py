@@ -76,7 +76,8 @@ def test_oracle_kkt_residuals_small(rng):
     assert rep.primal_residual_l1 <= 1e-8
     assert rep.duality_gap <= 1e-8 * max(1.0, abs(rep.objective)) + 1e-8
     assert rep.dual_domain <= 1e-6
-    assert rep.all_finite()
+    assert np.all(np.isfinite([rep.objective, rep.stationarity,
+                               rep.primal_residual_l1, rep.duality_gap]))
 
 
 def test_kkt_zero_instance():

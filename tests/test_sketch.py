@@ -55,7 +55,7 @@ def test_partition_tree_structure(n):
     while stack:
         v = stack.pop()
         lo, hi = tree.interval(v)
-        if tree.is_leaf(v):
+        if not tree.children(v):
             assert hi - lo == 1
             seen.add(lo)
             continue
@@ -79,9 +79,9 @@ def test_partition_tree_arrays_match_heap_arithmetic():
             width = tree.base >> depth
             lo = (v - (1 << depth)) * width
             assert tree.interval(v) == (lo, min(lo + width, n))
-            if tree.is_empty(v):
-                assert v + 1 == 1 << (depth + 1) or tree.is_empty(v + 1)
-        assert tree.is_empty(0)
+            if tree.lo[v] >= tree.hi[v]:
+                assert v + 1 == 1 << (depth + 1) or tree.lo[v + 1] >= tree.hi[v + 1]
+        assert tree.lo[0] >= tree.hi[0]
 
 
 # -- vector sketch ------------------------------------------------------------
@@ -316,8 +316,9 @@ def _reference_heavy(bs, side, ts_ref, eps):
     out, stack = [], [bs.tree.root()]
     while stack:
         v = stack.pop()
-        if bs.tree.is_leaf(v):
-            out.append(bs.tree.interval(v)[0])
+        lo, hi = bs.tree.interval(v)
+        if hi - lo == 1:
+            out.append(lo)
             continue
         for c in bs.tree.children(v):
             diff = bs.query_node_sketch(c, side) - bs.query_node_sketch(c, side, ts=ts_ref)

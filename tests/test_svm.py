@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankqp import kernel
-from rankqp.exceptions import ValidationError
+from rankqp import kernel, svm
+from rankqp.exceptions import ParseError, ValidationError
 from rankqp.cli import cli_run
 from rankqp.libsvm_io import Dataset, emit_libsvm
-from rankqp.svm import SvmModel, SvmSpec, predict, reduce_to_qp, train
+from rankqp.svm import VARIANTS, SvmModel, SvmSpec, predict, reduce_to_qp, train
 
 TWO_POINT_X = np.array([[1.0, 0.0], [-1.0, 0.0]])
 TWO_POINT_Y = np.array([1.0, -1.0])
@@ -47,6 +47,41 @@ def test_reduce_hard_margin_structure():
     assert all(d.lo == 0.0 and d.hi == 20.0 for d in inst.blocks)  # cap 10 n
     assert red.maximization
     assert np.allclose(inst.q_dense(), [[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_hard_margin_cap():
+    with pytest.raises(ValidationError, match="box_cap"):
+        SvmSpec(X=TWO_POINT_X, y=TWO_POINT_Y, variant="hard", box_cap=0.0)
+    spec = SvmSpec(X=TWO_POINT_X, y=TWO_POINT_Y, variant="hard", box_cap=3.0)
+    assert all(d.hi == 3.0 for d in reduce_to_qp(spec).instance.blocks)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_dual_box_matches_reduction(variant):
+    X = np.vstack([TWO_POINT_X, -2.0 * TWO_POINT_X])
+    y = None if variant == "one-class" else np.array([1.0, -1.0, -1.0, 1.0])
+    spec = SvmSpec(X=X, y=y, variant=variant, C=3.0)
+    cap, dim = svm.dual_box(spec)
+    inst = reduce_to_qp(spec).instance
+    assert inst.n == dim == (8 if variant in ("eps-svr", "nu-svr") else 4)
+    assert np.all(inst.lo == 0.0) and np.all(inst.hi == cap)
+
+
+def test_model_file_round_trip(tmp_path):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(10, 2))
+    mdl = train(SvmSpec(X=X, y=X @ [0.5, -0.2], variant="eps-svr", C=5.0), eps_solve=1e-3)
+    path = tmp_path / "model.txt"
+    svm.dump_model(mdl, path)
+    back = svm.load_model(path)
+    assert np.array_equal(back.alpha, mdl.alpha) and back.bias == mdl.bias
+    assert np.array_equal(back.w, mdl.w)
+    # The stacked regression dual has 2n entries; n is refused.
+    lines = path.read_text().splitlines()
+    lines[-2:] = ["alpha 10", " ".join(lines[-1].split()[:10])]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="needs 20 finite alpha"):
+        svm.load_model(path)
 
 
 def test_reduce_c_svc_structure():
