@@ -90,25 +90,15 @@ def hess_vec(lo, hi, x):
 
 @dataclass(frozen=True)
 class LocalMetric:
-    """Weighted barrier Hessian at a point, stored as diagonals.
+    """Weighted barrier Hessian at a point: ``whdiag`` is the diagonal of
+    H_{w,x}, i.e. w_i * H_{x,i} blockwise."""
 
-    ``hdiag`` holds the unweighted per-block Hessians H_{x,i}; ``whdiag``
-    is the diagonal of H_{w,x}, i.e. w_i * H_{x,i} blockwise.
-    """
-
-    hdiag: np.ndarray
     whdiag: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.hdiag <= 0):
-            raise DomainError("singular barrier Hessian: point not strictly interior")
 
 
 def metric_at(lo, hi, w, x) -> LocalMetric:
     check_interior(lo, hi, x)
-    h = hess_vec(lo, hi, x)
-    return LocalMetric(hdiag=h, whdiag=w * h, w=w)
+    return LocalMetric(whdiag=w * hess_vec(lo, hi, x))
 
 
 def weighted_norm(metric: LocalMetric, v):

@@ -3,7 +3,8 @@
 Commands: solve-qp, train-svm, factor-kernel, verify, predict.  Every
 command can write a versioned JSON report, bit-identical across runs on the
 same input except for the timing block; only solve-qp takes a --seed (the
-lowrank backend's sketch).
+lowrank backend's sketch, drawn only when it has fewer rows than
+coordinates).
 
 Exit codes: 0 success, 2 validation/parse error, 3 solver failure,
 64 usage error.
@@ -174,9 +175,18 @@ def _cmd_verify(args):
     inst = load_instance_json(args.instance)
     with open(args.report_file, "r", encoding="utf-8") as fh:
         report = json.load(fh)
+    if not isinstance(report, dict):
+        raise ValidationError("report to verify must be a JSON object")
     try:
         sol, stored = report["solution"], report["kkt"]
-        fresh = _kkt_block(inst, np.array(sol["x"]), np.array(sol["s"]), np.array(sol["y"]))
+        if not (isinstance(sol, dict) and isinstance(stored, dict)):
+            raise ValidationError("the report's solution and kkt must be JSON objects")
+        x, s, y = (np.array(sol[k], dtype=float) for k in ("x", "s", "y"))
+        for name, v, size in (("x", x, inst.n), ("s", s, inst.n), ("y", y, inst.m)):
+            if v.shape != (size,):
+                raise ValidationError(f"solution {name} has shape {v.shape}; "
+                                      f"the instance needs ({size},)")
+        fresh = _kkt_block(inst, x, s, y)
         worst = max(abs(fresh[k] - stored[k]) / max(1.0, abs(stored[k])) for k in fresh)
     except KeyError as exc:
         raise ValidationError(f"report to verify has no field {exc}") from exc
@@ -220,7 +230,9 @@ def build_parser():
     common(p)
     p.add_argument("--mode", choices=["theory", "practical"], default="practical")
     p.add_argument("--backend", choices=["auto", "dense", "lowrank"], default="auto")
-    p.add_argument("--seed", type=int, default=0, help="seed of the lowrank sketch")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the lowrank sketch; used only when it has "
+                        "fewer rows than coordinates")
     p.add_argument("--oracle", action="store_true",
                    help="also run the dense reference solver and report the gap")
     p.set_defaults(func=_cmd_solve_qp)

@@ -109,4 +109,4 @@ def centering_lowrank(inst: model.QPInstance, x, s, t_start, t_end,
     x_out, s_out = cpm.output()
     barrier.check_interior(inst.lo, inst.hi, x_out)
     return ipm.CenteringResult(x=x_out, s=s_out, y=y, iterations=it, trace=trace,
-                               ridge_uses=cpm.ridge_uses)
+                               ridge_uses=cpm.ridge_uses, sketch_rows=cpm.approx.bs.r)

@@ -204,6 +204,7 @@ class CenteringResult:
     iterations: int
     trace: list = field(default_factory=list)
     ridge_uses: int = 0       # normal solves retried with a ridge (see _solve_normal)
+    sketch_rows: int = 0      # rows of the maintained path's sketches (cpm only)
 
 
 def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
@@ -357,7 +358,9 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
     when Q = UV' is thin (4(k + m) <= n), dense otherwise, in either mode.
     The returned multipliers satisfy Qx + c + A'y = s.  The report's
     "ridge_uses" counts the linear solves that met a numerically singular
-    matrix and were retried with a small ridge (0 on a well-posed run).
+    matrix and were retried with a small ridge (0 on a well-posed run);
+    with backend "lowrank" its "sketch_rows" gives the rows of the sketches
+    built (n of the augmented instance when the sketch is exact).
     """
     if not 0 < eps <= 0.5:
         raise ValidationError(f"eps must be in (0, 1/2], got {eps}")
@@ -405,4 +408,6 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
         "lipschitz": inst.L,
         "error_budget": budget,
     }
+    if backend == "lowrank":
+        report["sketch_rows"] = result.sketch_rows
     return Solution(x=x, s=s, y=y, report=report)

@@ -1,13 +1,15 @@
 """Sketch-based detection of drifted coordinates.
 
-A shared Gaussian JL matrix sketches the scaled vectors H^{1/2}x and
-H^{-1/2}s through their implicit-representation pieces.  The pieces are
-kept side by side as the columns of one segment tree over the coordinate
-order whose nodes double as the partition tree: a node stores Phi
-restricted to its interval applied to the pieces restricted to the same
-interval.  Every node keeps a timestamped
-version list, so queries against any past snapshot replay nothing and
-mutate nothing.
+A shared sketch matrix Phi sketches the scaled vectors H^{1/2}x and
+H^{-1/2}s through their implicit-representation pieces.  Phi is a seeded
+Gaussian JL matrix with r = O(log(n / delta)) rows while r < n; once the
+JL count reaches n it is the n x n identity, so the sketch is exact and
+heavy detection deterministic at no more rows than a random one.  The
+pieces are kept side by side as the columns of one segment tree over the
+coordinate order whose nodes double as the partition tree: a node stores
+Phi restricted to its interval applied to the pieces restricted to the
+same interval.  Every node keeps a timestamped version list, so queries
+against any past snapshot replay nothing and mutate nothing.
 
 Updates are applied lazily: the deltas of each step are recorded with
 their timestamp and reach the node sketches, in order, at the next query,
@@ -31,7 +33,6 @@ from . import kernel
 from .exactds import ExactDS, UpdateDeltas
 from .exceptions import ValidationError
 
-_JL_FLOOR = 25
 _JL_CONST = 24.0
 _LEVEL_SAFETY = 1.5  # extra headroom on the per-level tolerance split
 # Once a heavy query finds every node of a level heavy, it tests the levels
@@ -43,15 +44,22 @@ _LOOKAHEAD = 64
 
 
 def _jl_rows(n, delta_apx):
-    """Rows r of the JL sketch matrix over n coordinates."""
+    """Rows r of the sketch matrix over n coordinates: the JL count
+    ceil(24 ln(n / delta_apx)), capped at n, where an exact sketch is as
+    small.  (The cap makes a floor on the count moot: a count under 25
+    needs n <= 2.)"""
     if not 0 < delta_apx < 1:
         raise ValueError(f"delta_apx must be in (0, 1), got {delta_apx}")
-    return max(_JL_FLOOR, math.ceil(_JL_CONST * math.log(max(n, 2) / delta_apx)))
+    return min(n, math.ceil(_JL_CONST * math.log(n / delta_apx)))
 
 
 def jl_sketch_matrix(n, delta_apx, seed):
-    """Seeded Gaussian sketch matrix with variance 1/r entries."""
+    """The r x n sketch matrix and r.  Below n rows it is a seeded Gaussian
+    with variance 1/r entries; at n rows it is the identity, which keeps
+    every norm exactly and draws nothing, so the seed is unused."""
     r = _jl_rows(n, delta_apx)
+    if r == n:
+        return np.eye(n), r
     # Scaled in place: the draws of rng.normal(0, 1/sqrt(r)) without its
     # per-entry loc + scale * z.
     phi = np.random.default_rng(seed).standard_normal((r, n))

@@ -102,9 +102,11 @@ def test_every_flag_is_read(two_point_data, qp_instance_file, tmp_path):
 
 
 def test_oversized_sketch_exits_2(qp_instance_file, monkeypatch, capsys):
-    monkeypatch.setattr(kernel, "_FACTOR_BYTES_CAP", 1024)
+    # The augmented instance has n = 3 and 5 columns: an exact 3-row sketch
+    # over 4 heap leaves needs 8 * 2 * 4 * 3 * 5 = 960 bytes.
+    monkeypatch.setattr(kernel, "_FACTOR_BYTES_CAP", 512)
     assert cli_run(["solve-qp", qp_instance_file, "--backend", "lowrank"]) == 2
-    assert "cap of 1024 bytes" in capsys.readouterr().err
+    assert "needs 960 bytes" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -202,6 +204,26 @@ def test_verify_report_without_solution_exits_2(two_point_data, qp_instance_file
     solve.write_text(json.dumps(data))
     assert cli_run(["verify", str(solve), qp_instance_file]) == 2
     assert "'kkt'" in capsys.readouterr().err
+
+
+def test_verify_report_not_an_object_exits_2(qp_instance_file, tmp_path, capsys):
+    report = tmp_path / "list.json"
+    report.write_text(json.dumps([1, 2, 3]))
+    assert cli_run(["verify", str(report), qp_instance_file]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    report.write_text(json.dumps({"solution": [1.0, 2.0], "kkt": {}}))
+    assert cli_run(["verify", str(report), qp_instance_file]) == 2
+    assert "must be JSON objects" in capsys.readouterr().err
+
+
+def test_verify_solution_of_wrong_length_exits_2(qp_instance_file, tmp_path, capsys):
+    report = tmp_path / "solve.json"
+    assert cli_run(["solve-qp", qp_instance_file, "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    data["solution"]["x"].append(1.0)
+    report.write_text(json.dumps(data))
+    assert cli_run(["verify", str(report), qp_instance_file]) == 2
+    assert "solution x has shape (3,)" in capsys.readouterr().err
 
 
 def test_hard_margin_zero_cap_exits_2(two_point_data, capsys):

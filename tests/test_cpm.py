@@ -28,6 +28,16 @@ def test_lowrank_solve_matches_dense(rng):
     assert low.report["objective"] <= rep.objective + budget
 
 
+def test_lowrank_report_gives_sketch_rows(rng):
+    # n = 24 plus the augmentation coordinate: an exact 25-row sketch, the
+    # same solution for every seed; the other backends report no sketch.
+    inst = random_lowrank_instance(rng, n=24, k=2, m=1)
+    a, b = (ipm.solve(inst, 1e-2, backend="lowrank", seed=seed) for seed in (1, 2))
+    assert a.report["sketch_rows"] == b.report["sketch_rows"] == 25
+    assert np.array_equal(a.x, b.x) and a.report["iterations"] == b.report["iterations"]
+    assert "sketch_rows" not in ipm.solve(inst, 1e-2, backend="dense").report
+
+
 def test_lowrank_solve_feasibility(rng):
     eps = 1e-3
     inst = random_lowrank_instance(rng, n=20, k=2, m=2)

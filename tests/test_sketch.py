@@ -19,9 +19,9 @@ def _zero_betas(k, m):
 # -- JL matrix ----------------------------------------------------------------
 
 def test_jl_determinism():
-    p1, r1 = jl_sketch_matrix(64, 0.01, seed=3)
-    p2, r2 = jl_sketch_matrix(64, 0.01, seed=3)
-    assert r1 == r2
+    p1, r1 = jl_sketch_matrix(600, 0.01, seed=3)
+    p2, r2 = jl_sketch_matrix(600, 0.01, seed=3)
+    assert r1 == r2 == 265
     assert np.array_equal(p1, p2)
 
 
@@ -31,8 +31,9 @@ def test_jl_zero_vector():
 
 
 def test_jl_norm_preservation(rng):
-    n, delta = 128, 0.01
+    n, delta = 600, 0.01
     phi, r = jl_sketch_matrix(n, delta, seed=1)
+    assert r < n
     failures = 0
     for _ in range(100):
         v = rng.normal(size=n)
@@ -120,8 +121,9 @@ def test_sketch_build_matches_padded_heap(rng, n, cols):
 
 def test_jl_matrix_matches_scaled_normal_draws():
     # phi is the draw sequence of rng.normal(0, 1/sqrt(r)), scaled in place.
-    for n, delta, seed in ((33, 0.01, 0), (100, 0.1, 7), (1, 0.5, 3)):
+    for n, delta, seed in ((600, 0.01, 0), (400, 0.1, 7), (256, 0.01, 3)):
         phi, r = jl_sketch_matrix(n, delta, seed)
+        assert r < n
         want = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(r), size=(r, n))
         assert np.array_equal(phi, want)
 
@@ -330,39 +332,43 @@ def _reference_heavy(bs, side, ts_ref, eps):
 def test_lazy_updates_match_eager_queries(rng):
     # Two sketches see the same steps; one is queried after every update,
     # the other only at the end, when all its deltas are applied at once.
-    n, k, m = 45, 3, 2
-    h, hhat, htil = rng.normal(size=n), rng.normal(size=(n, k)), rng.normal(size=(n, m))
-    xs, ss = rng.normal(size=n), rng.normal(size=n)
-    eager, lazy = (BatchSketch(n, h, hhat, htil, xs, ss, _zero_betas(k, m),
-                               delta_apx=0.05, seed=4) for _ in range(2))
-    for _ in range(12):
-        betas = _random_betas(rng, k, m)
-        d = _random_deltas(rng, n, k, m, int(rng.integers(0, 5)))
-        for bs in (eager, lazy):
-            bs.move(betas)
-            bs.update(d)
-        eager.query_heavy("x", eager.ell - 1, 0.1)
-        h[d.idx] += d.h
-        hhat[d.idx] += d.hhat
-        htil[d.idx] += d.htil
-        xs[d.idx] += d.xhat_scaled
-        ss[d.idx] += d.shat_scaled
-    for ts in range(lazy.ell + 1):
-        for side in "xs":
-            for v in lazy.tree.nodes():
-                assert np.array_equal(lazy.query_node_sketch(v, side, ts),
-                                      eager.query_node_sketch(v, side, ts))
-            assert lazy.query_heavy(side, ts, 0.5) == eager.query_heavy(side, ts, 0.5)
-    beta_x, _, bhat_x, _, btil_x, _ = betas
-    x_now = xs + h * beta_x + hhat @ bhat_x + htil @ btil_x
-    for v in lazy.tree.nodes():
-        lo, hi = lazy.tree.interval(v)
-        want = lazy.phi[:, lo:hi] @ x_now[lo:hi]
-        assert np.abs(lazy.query_node_sketch(v, "x") - want).max() <= 1e-9
+    # n = 45 runs the exact (identity) sketch, n = 300 a Gaussian one.
+    k, m = 3, 2
+    for n in (45, 300):
+        h, hhat, htil = rng.normal(size=n), rng.normal(size=(n, k)), rng.normal(size=(n, m))
+        xs, ss = rng.normal(size=n), rng.normal(size=n)
+        eager, lazy = (BatchSketch(n, h, hhat, htil, xs, ss, _zero_betas(k, m),
+                                   delta_apx=0.05, seed=4) for _ in range(2))
+        assert (lazy.r == n) == (n == 45)
+        for _ in range(12):
+            betas = _random_betas(rng, k, m)
+            d = _random_deltas(rng, n, k, m, int(rng.integers(0, 5)))
+            for bs in (eager, lazy):
+                bs.move(betas)
+                bs.update(d)
+            eager.query_heavy("x", eager.ell - 1, 0.1)
+            h[d.idx] += d.h
+            hhat[d.idx] += d.hhat
+            htil[d.idx] += d.htil
+            xs[d.idx] += d.xhat_scaled
+            ss[d.idx] += d.shat_scaled
+        for ts in range(lazy.ell + 1):
+            for side in "xs":
+                for v in lazy.tree.nodes():
+                    assert np.array_equal(lazy.query_node_sketch(v, side, ts),
+                                          eager.query_node_sketch(v, side, ts))
+                assert lazy.query_heavy(side, ts, 0.5) == eager.query_heavy(side, ts, 0.5)
+        beta_x, _, bhat_x, _, btil_x, _ = betas
+        x_now = xs + h * beta_x + hhat @ bhat_x + htil @ btil_x
+        for v in lazy.tree.nodes():
+            lo, hi = lazy.tree.interval(v)
+            want = lazy.phi[:, lo:hi] @ x_now[lo:hi]
+            assert np.abs(lazy.query_node_sketch(v, "x") - want).max() <= 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 100, 128])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 33, 100, 128, 300])
 def test_query_heavy_matches_per_node_descent(rng, n):
+    # n = 300 is above the crossover (248 Gaussian rows at delta 0.01).
     k, m, eps = 3, 2, 0.05
     bs = _fresh_batch(rng, n, k=k, m=m, seed=n)
     for _ in range(6):
@@ -372,6 +378,46 @@ def test_query_heavy_matches_per_node_descent(rng, n):
     for ts_ref in range(bs.ell + 1):
         for side in "xs":
             assert bs.query_heavy(side, ts_ref, eps) == _reference_heavy(bs, side, ts_ref, eps)
+
+
+@pytest.mark.parametrize("n", [2, 20, 64, 200])
+def test_identity_sketch_finds_exactly_the_moved_coordinates(rng, n):
+    # Once the JL count reaches n the sketch is the identity for every seed,
+    # and a heavy query returns exactly the coordinates whose combined
+    # scaled value moved by at least 0.9 * eps, computed densely.  (At n = 1
+    # the root is the only leaf and is returned untested.)
+    k, m, eps = 3, 2, 0.05
+    for seed in range(5):
+        phi, r = jl_sketch_matrix(n, 0.01, seed)
+        assert r == n
+        assert np.array_equal(phi, np.eye(n))
+    pieces = [rng.normal(size=n), rng.normal(size=n), rng.normal(size=n),
+              rng.normal(size=(n, k)), rng.normal(size=(n, m))]
+    xs, ss, h, hhat, htil = pieces
+    bs = BatchSketch(n, h, hhat, htil, xs, ss, _zero_betas(k, m),
+                     delta_apx=0.01, seed=n)
+    assert bs.r == n
+
+    def dense(state, betas, side):
+        xs, ss, h, hhat, htil = state
+        b, bhat, btil = (betas[0], betas[2], betas[4]) if side == "x" else \
+            (betas[1], betas[3], betas[5])
+        return (xs if side == "x" else ss) + h * b + hhat @ bhat + htil @ btil
+
+    history = [[p.copy() for p in pieces]]
+    for _ in range(6):
+        bs.move(tuple(1e-2 * b for b in _random_betas(rng, k, m)))
+        d = _random_deltas(rng, n, k, m, min(3, n), scale=eps)
+        bs.update(d)
+        for p, dp in zip(pieces, (d.xhat_scaled, d.shat_scaled, d.h, d.hhat, d.htil)):
+            p[d.idx] += dp
+        history.append([p.copy() for p in pieces])
+    for ts_ref in range(bs.ell + 1):
+        for side in "xs":
+            moved = np.abs(dense(pieces, bs.betas, side)
+                           - dense(history[ts_ref], bs.beta_history[ts_ref], side))
+            want = np.flatnonzero(moved >= 0.9 * eps).tolist()
+            assert bs.query_heavy(side, ts_ref, eps) == want
 
 
 # -- dyadic lookback decomposition ---------------------------------------------
@@ -482,3 +528,23 @@ def test_emitted_update_count_bound(rng):
         emitted += int(np.count_nonzero(cpm.exact.s_bar - before[1]))
         steps += 1
     assert emitted <= 40 * q * q + 40
+
+
+def test_maintenance_above_the_crossover(rng):
+    # n = 400 at delta_apx = 0.01 sketches with 255 Gaussian rows; over a
+    # restart the approximation pair stays within eps_bar of the exact one.
+    inst, params, exact = _exactds_state(rng, n=400)
+    cpm = CentralPathMaintenance(inst, params, exact.xhat.copy(),
+                                 exact.shat.copy(), 1.0, delta_apx=0.01, seed=5)
+    assert cpm.approx.bs.r == 255
+    t = 1.0
+    for _ in range(cpm.q + 3):
+        t *= 1 - 0.05 * params.eps_t
+        cpm.multiply_and_move(t)
+        xe, se = cpm.exact.output()
+        xb, sb = cpm.exact.x_bar, cpm.exact.s_bar
+        hu = barrier.hess_vec(inst.lo, inst.hi, xb)
+        assert np.max(np.sqrt(hu) * np.abs(xb - xe)) <= params.eps_bar
+        assert np.max(np.abs(sb - se) / np.sqrt(hu) / (cpm.exact.t_bar * inst.w)) \
+            <= params.eps_bar
+    assert cpm._restarts > 1
