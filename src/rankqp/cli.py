@@ -2,9 +2,9 @@
 
 Commands: solve-qp, train-svm, factor-kernel, verify, predict.  Every
 command can write a versioned JSON report, bit-identical across runs on the
-same input except for the timing block; only solve-qp takes a --seed (the
-lowrank backend's sketch, drawn only when it has fewer rows than
-coordinates).
+same input except for the timing block.  Only solve-qp --backend lowrank
+draws anything (its sketch, when that has fewer rows than coordinates), so
+only its report carries the --seed.
 
 Exit codes: 0 success, 2 validation/parse error, 3 solver failure,
 64 usage error.
@@ -24,7 +24,7 @@ from .exceptions import (InvariantViolation, ParseError, RankQPError,
 from .libsvm_io import parse_libsvm
 from .svm import dump_model, load_model
 
-SCHEMA = 2
+SCHEMA = 3
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SOLVER = 3
@@ -104,11 +104,10 @@ def _kkt_block(inst, x, s, y):
 def _cmd_solve_qp(args):
     inst = load_instance_json(args.instance)
     t0 = time.perf_counter()
-    sol = ipm.solve(inst, args.epsilon, mode=args.mode, backend=args.backend,
-                    seed=args.seed)
+    sol = ipm.solve(inst, args.epsilon, backend=args.backend, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    report = {"schema": SCHEMA, "command": "solve-qp", "seed": args.seed,
-              "parameters": {"epsilon": args.epsilon, "mode": args.mode,
+    report = {"schema": SCHEMA, "command": "solve-qp",
+              "parameters": {"epsilon": args.epsilon,
                              "backend": sol.report["backend"]},
               "objective": sol.report["objective"],
               "iterations": sol.report["iterations"],
@@ -228,7 +227,6 @@ def build_parser():
     p = sub.add_parser("solve-qp", help="solve a QP instance from a JSON file")
     p.add_argument("instance")
     common(p)
-    p.add_argument("--mode", choices=["theory", "practical"], default="practical")
     p.add_argument("--backend", choices=["auto", "dense", "lowrank"], default="auto")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the lowrank sketch; used only when it has "

@@ -4,18 +4,21 @@
 
 with multipliers in the convention Qx + c + A'y = s.
 
-Practical mode runs a Mehrotra predictor-corrector on the instance itself,
-from the analytic centre of the boxes, and stops on the measured duality gap
-and equality residual (``predictor_corrector``).  Theory mode follows, on the
-initial-point augmentation of the instance, the robust central path
+``solve`` runs a Mehrotra predictor-corrector on the instance itself with
+the dense or the Woodbury step (``predictor_corrector``), or, for backend
+"lowrank", follows the central path of the initial-point augmentation by
+damped steps through ExactDS + sketch maintenance (``cpm``).
+
+The paper's short-step robust central path ("theory mode")
 
     s/t + grad phi_w(x) = mu,   Ax = b,   Qx + c + A'y = s,
 
-from t = 1 down to t_end with a soft-max potential over the per-block error
-norms gamma_i = ||mu_i||*_{x_i} (``centering``).  Both take the dense or the
-Woodbury step, which recompute everything exactly every iteration; the
-lowrank backend follows the path with ExactDS + sketch maintenance (``cpm``)
-in either mode.
+from t = 1 down to t_end under a soft-max potential over the per-block error
+norms gamma_i = ||mu_i||*_{x_i}, is a fidelity component that the tests
+drive directly: ``IpmParams.for_instance(inst, mode="theory")``,
+``centering`` and ``cpm.centering_lowrank``.  It is not a ``solve`` option:
+its step h is 2e-10 to 7e-9, so a solve would need 5.5e8 (n = 1,
+eps = 0.5) to 1.1e11 (n = 300, eps = 1e-3) steps.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ class IpmParams:
     max_iter: int = 2_000_000
 
     @staticmethod
-    def for_instance(inst: model.QPInstance, mode="practical", max_iter=None):
+    def for_instance(inst: model.QPInstance, mode="practical"):
         if mode not in ("theory", "practical"):
             raise ValidationError(f"unknown mode {mode!r}")
         n = inst.n
@@ -68,10 +71,9 @@ class IpmParams:
             eps_bar = 1.0 / (4.0 * lam)
             h0 = 0.5 / math.sqrt(kappa)
         eps_t = (eps_bar / 4.0) * float(np.min(inst.w / (inst.w + inst.nu)))
-        if max_iter is None:
-            max_iter = 2_000_000 if mode == "theory" else 200_000
         return IpmParams(lam=lam, eps_bar=eps_bar, alpha=alpha, eps_t=eps_t,
-                         h=h_theory, h0=h0, mode=mode, max_iter=max_iter)
+                         h=h_theory, h0=h0, mode=mode,
+                         max_iter=2_000_000 if mode == "theory" else 200_000)
 
 
 def compute_error_terms(inst: model.QPInstance, x_bar, s_bar, t_bar):
@@ -208,12 +210,13 @@ class CenteringResult:
 
 
 def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
-              backend="dense", collect_trace=False):
-    """Follow the central path from t_start down to t_end in theory mode.
+              collect_trace=False):
+    """Follow the central path from t_start down to t_end in theory mode,
+    with the dense step.
 
     Enforces the potential invariant Phi <= cosh(lam/64) and takes the
-    fixed theory step size.  Practical mode does not follow this path; it
-    runs ``predictor_corrector``.
+    fixed theory step size.  ``solve`` does not call it (see the module
+    docstring); ``cpm.centering_lowrank`` is its maintained counterpart.
     """
     if params.mode != "theory":
         raise ValidationError("centering runs theory mode only")
@@ -241,8 +244,7 @@ def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
                 f"potential {phi:g} exceeds cosh(lam/64) at iteration {it}")
         delta_mu = step_direction(mu, gamma, params, inst.w)
         t = max((1.0 - h) * t, t_end)
-        dx, ds, dy = central_path_step(inst, x, s, t_bar, delta_mu, backend=backend,
-                                       counts=counts)
+        dx, ds, dy = central_path_step(inst, x, s, t_bar, delta_mu, counts=counts)
         if collect_trace:
             metric = barrier.metric_at(inst.lo, inst.hi, inst.w, x)
             eq_resid = float(np.abs(inst.A @ dx).max()) if inst.m else 0.0
@@ -267,7 +269,7 @@ def centering(inst: model.QPInstance, x, s, t_start, t_end, params: IpmParams,
 
 
 def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
-                        backend="dense", max_iter=_PC_MAX_ITER):
+                        backend="dense"):
     """Mehrotra predictor-corrector from the analytic centre of the boxes.
 
     Splits the multipliers into bound multipliers zl, zu and solves, with
@@ -306,8 +308,8 @@ def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
         if gap <= gap_target and float(np.abs(r_p).sum()) <= resid_target:
             return CenteringResult(x=x, s=s, y=y, iterations=it,
                                    ridge_uses=counts["ridge_uses"])
-        if it >= max_iter:
-            raise SolverError(f"predictor-corrector exceeded {max_iter} iterations")
+        if it >= _PC_MAX_ITER:
+            raise SolverError(f"predictor-corrector exceeded {_PC_MAX_ITER} iterations")
         r_d = zl - zu - s
         solve = factor_newton(inst, zl / gl + zu / gu, backend, counts)
 
@@ -343,52 +345,43 @@ class Solution:
     report: dict
 
 
-def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
-          seed=0, max_iter=None):
+def solve(inst: model.QPInstance, eps, backend="auto", seed=0):
     """Solve the instance to additive objective error eps * L * R(R+1).
 
-    Practical mode with the dense or Woodbury step runs
-    ``predictor_corrector`` on the instance itself until the measured
-    duality gap is at most that budget and ||b - Ax||_1 at most
-    3 eps (R ||A||_1 + ||b||_1), both in the instance's own units.  Theory
-    mode and backend "lowrank" augment for the initial point, follow the
-    central path from t = 1 to t = eps^2/(4 kappa) and restrict the result:
-    theory mode under the potential invariant, "lowrank" through ExactDS +
-    sketch maintenance (``cpm``).  backend "auto" takes the Woodbury step
-    when Q = UV' is thin (4(k + m) <= n), dense otherwise, in either mode.
-    The returned multipliers satisfy Qx + c + A'y = s.  The report's
-    "ridge_uses" counts the linear solves that met a numerically singular
-    matrix and were retried with a small ridge (0 on a well-posed run);
-    with backend "lowrank" its "sketch_rows" gives the rows of the sketches
-    built (n of the augmented instance when the sketch is exact).
+    With the dense or Woodbury step, ``predictor_corrector`` runs on the
+    instance itself until the measured duality gap is at most that budget
+    and ||b - Ax||_1 at most 3 eps (R ||A||_1 + ||b||_1), both in the
+    instance's own units.  backend "auto" takes the Woodbury step when
+    Q = UV' is thin (4(k + m) <= n), dense otherwise.  backend "lowrank"
+    augments for the initial point, follows the central path from t = 1 to
+    t = eps^2/(4 kappa) through ``cpm.centering_lowrank`` (seed draws its
+    sketches) and restricts the result.  The returned multipliers satisfy
+    Qx + c + A'y = s.  The report's "ridge_uses" counts the linear solves
+    retried with a small ridge (0 on a well-posed run); with backend
+    "lowrank" it also gives the "seed" and the rows of the sketches built,
+    "sketch_rows" (n of the augmented instance when the sketch is exact).
     """
     if not 0 < eps <= 0.5:
         raise ValidationError(f"eps must be in (0, 1/2], got {eps}")
     if backend not in ("auto", "dense", "lowrank"):
         raise ValidationError(f"unknown backend {backend!r}")
-    if mode not in ("theory", "practical"):
-        raise ValidationError(f"unknown mode {mode!r}")
     budget = eps * inst.L * inst.R * (inst.R + 1.0)
     if backend == "auto":
         backend = ("woodbury" if inst.U is not None
                    and 4 * (inst.k + inst.m) <= inst.n else "dense")
-    if mode == "practical" and backend != "lowrank":
+    if backend != "lowrank":
         resid_bound = 3.0 * eps * (inst.R * float(np.abs(inst.A).sum())
                                    + float(np.abs(inst.b).sum()))
-        result = predictor_corrector(inst, budget, resid_bound, backend=backend,
-                                     max_iter=max_iter or _PC_MAX_ITER)
+        result = predictor_corrector(inst, budget, resid_bound, backend=backend)
         x, s, y = result.x, result.s, result.y
         gap = oracle.certified_gap(inst, x, y)
     else:
+        from .cpm import centering_lowrank
         aug, x0, s0 = model.augment_for_initial_point(inst, eps)
         base = aug.base
-        params = IpmParams.for_instance(base, mode=mode, max_iter=max_iter)
+        params = IpmParams.for_instance(base)
         t_end = eps * eps / (4.0 * base.kappa)
-        if backend == "lowrank":
-            from .cpm import centering_lowrank
-            result = centering_lowrank(base, x0, s0, 1.0, t_end, params, seed=seed)
-        else:
-            result = centering(base, x0, s0, 1.0, t_end, params, backend=backend)
+        result = centering_lowrank(base, x0, s0, 1.0, t_end, params, seed=seed)
         scale = aug.epsilon * aug.rho
         x = model.restrict_solution(aug, result.x)
         s = result.s[: inst.n] / scale
@@ -401,13 +394,12 @@ def solve(inst: model.QPInstance, eps, mode="practical", backend="auto",
         "iterations": result.iterations,
         "ridge_uses": result.ridge_uses,
         "epsilon": eps,
-        "mode": mode,
         "backend": backend,
-        "seed": seed,
         "radii": {"R": inst.R, "r": inst.r},
         "lipschitz": inst.L,
         "error_budget": budget,
     }
     if backend == "lowrank":
+        report["seed"] = seed
         report["sketch_rows"] = result.sketch_rows
     return Solution(x=x, s=s, y=y, report=report)

@@ -34,12 +34,13 @@ _FACTOR_BYTES_CAP = 2 * 2 ** 30
 _RADIUS_BLOCK = 256
 
 
-def exact_gaussian_kernel(X, cap=_ORACLE_CAP):
-    """Reference kernel matrix, exp(-squared distance), unit diagonal."""
+def exact_gaussian_kernel(X):
+    """Reference kernel matrix, exp(-squared distance), unit diagonal, for at
+    most _ORACLE_CAP points."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if n > cap:
-        raise ValidationError(f"exact kernel oracle cap is n <= {cap}, got {n}")
+    if n > _ORACLE_CAP:
+        raise ValidationError(f"exact kernel oracle cap is n <= {_ORACLE_CAP}, got {n}")
     sq = np.sum(X * X, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
@@ -221,11 +222,11 @@ def _compact_columns(F, keep):
     return flat[:dst * n].reshape((n, dst), order="F")
 
 
-def gaussian_lowrank_factor(X, eps, byte_cap=_FACTOR_BYTES_CAP):
+def gaussian_lowrank_factor(X, eps):
     """Factor the Gaussian kernel of X so that ||Kv - UV'v||_inf <= eps ||v||_1.
 
     Refuses, before allocating them, a U and V that together need more than
-    ``byte_cap`` bytes."""
+    _FACTOR_BYTES_CAP bytes."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError("X must be a 2-d data matrix")
@@ -241,11 +242,12 @@ def gaussian_lowrank_factor(X, eps, byte_cap=_FACTOR_BYTES_CAP):
     q = poly_degree(B, eps / 2.0)
     rank = math.comb(q + d + 1, d + 1)
     need = 16 * n * rank
-    if need > byte_cap:
+    if need > _FACTOR_BYTES_CAP:
         raise ValidationError(
             f"factorization U and V need {need} bytes (n = {n}, rank "
-            f"binom({q + d + 1},{d + 1}) = {rank}), over the cap of {byte_cap} bytes; "
-            "use a larger eps, fewer points or lower-dimensional data")
+            f"binom({q + d + 1},{d + 1}) = {rank}), over the cap of "
+            f"{_FACTOR_BYTES_CAP} bytes; use a larger eps, fewer points or "
+            "lower-dimensional data")
     coeffs, sup_err = chebyshev_exp_coeffs(B, q)
     U, V = _feature_blocks(Xc, q, coeffs, ("u", "v"))
     colmag = _column_magnitude(U) * _column_magnitude(V)

@@ -20,8 +20,8 @@ from itertools import chain
 
 import numpy as np
 
+from . import kernel
 from .exceptions import InvariantViolation, ParseError, ValidationError
-from .kernel import _FACTOR_BYTES_CAP
 
 _COLON, _SPACE = ord(":"), ord(" ")
 
@@ -41,10 +41,11 @@ class Dataset:
     def to_dense(self):
         """The n x d float64 matrix; refused (ValidationError) when it would
         need more bytes than the kernel factor's cap."""
-        if 8 * self.n * self.d > _FACTOR_BYTES_CAP:
+        cap = kernel._FACTOR_BYTES_CAP
+        if 8 * self.n * self.d > cap:
             raise ValidationError(
                 f"a dense {self.n} x {self.d} data matrix needs {8 * self.n * self.d} "
-                f"bytes, over the cap of {_FACTOR_BYTES_CAP} bytes (d is the largest "
+                f"bytes, over the cap of {cap} bytes (d is the largest "
                 "feature index in the file)")
         X = np.zeros((self.n, self.d))
         X[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.values

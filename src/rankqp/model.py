@@ -1,5 +1,6 @@
-"""Generic QP instances and the initial-point augmentation, which theory
-mode and the lowrank backend start from.
+"""Generic QP instances and the initial-point augmentation, which the
+maintained central path (``ipm.solve``'s lowrank backend, and the theory
+path the tests drive) starts from.
 
 An instance is
 

@@ -244,9 +244,9 @@ def train(spec: SvmSpec, eps_solve=1e-4):
     optimum of the reduced program (Gaussian kernels add the certified
     entrywise kernel error on top).
 
-    The reduced program is solved by ``ipm.solve`` in its practical mode
-    with the automatic backend choice; ``ipm.solve`` itself keeps the
-    theory mode and the forced backends.  The factor's entrywise target
+    The reduced program is solved by ``ipm.solve`` with the automatic
+    backend choice, that is by the predictor-corrector with the dense or
+    the Woodbury step.  The factor's entrywise target
     eps_solve / (n R^2) is clamped into [1e-12, 1e-3]; the report gives the
     target ("kernel_eps_target") beside the tolerance the factor was built
     to ("kernel_eps")."""

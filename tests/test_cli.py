@@ -56,6 +56,7 @@ def test_unknown_flag_exits_64(capsys):
     ("factor-kernel", ["--mode", "practical"]),
     ("factor-kernel", ["--seed", "0"]),
     ("predict", ["--seed", "0"]),
+    ("solve-qp", ["--mode", "theory"]),
 ])
 def test_removed_flag_exits_64(two_point_data, command, flag):
     # No abbreviation matching either: --mode would otherwise be read as
@@ -121,9 +122,34 @@ def test_train_svm_two_point(two_point_data, tmp_path):
                     "--report", str(report), "--model-out", str(model)])
     assert code == 0
     rep = _load(report)
-    assert rep["schema"] == 2
+    assert rep["schema"] == 3
     assert rep["objective"] == pytest.approx(0.5, abs=1e-3)
     assert rep["n_support"] == 2
+    # Training draws nothing and has one solver path: no seed, no mode.
+    assert not {"seed", "mode"} & _keys(rep)
+
+
+def _keys(obj):
+    """Every key of a JSON object and of the objects nested in it."""
+    if isinstance(obj, dict):
+        return set(obj).union(*(_keys(v) for v in obj.values()))
+    if isinstance(obj, list):
+        return set().union(*(_keys(v) for v in obj))
+    return set()
+
+
+@pytest.mark.parametrize("backend, seed_in_report", [("auto", False), ("lowrank", True)])
+def test_solve_qp_reports_seed_only_for_lowrank(qp_instance_file, tmp_path, backend,
+                                                 seed_in_report):
+    report = tmp_path / "solve.json"
+    assert cli_run(["solve-qp", qp_instance_file, "--backend", backend,
+                    "--seed", "5", "--report", str(report)]) == 0
+    rep = _load(report)
+    assert rep["schema"] == 3
+    assert "mode" not in _keys(rep)
+    assert ("seed" in _keys(rep)) == seed_in_report
+    if seed_in_report:
+        assert rep["solve"]["seed"] == 5
 
 
 def test_predict_round_trip(two_point_data, tmp_path):

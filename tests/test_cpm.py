@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,9 +80,14 @@ def test_restart_after_q_iterations(rng):
 
 
 def test_iteration_cap(rng):
+    # The maintained path on the augmented instance, as solve(backend="lowrank")
+    # runs it, with its iteration cap lowered to 3.
     inst = random_lowrank_instance(rng, n=8, k=1, m=1)
-    with pytest.raises(SolverError):
-        ipm.solve(inst, 1e-3, backend="lowrank", max_iter=3)
+    aug, x0, s0 = model.augment_for_initial_point(inst, 1e-3)
+    params = dataclasses.replace(IpmParams.for_instance(aug.base), max_iter=3)
+    t_end = 1e-6 / (4.0 * aug.base.kappa)
+    with pytest.raises(SolverError, match="centering exceeded 3 iterations"):
+        centering_lowrank(aug.base, x0, s0, 1.0, t_end, params)
 
 
 @pytest.fixture
@@ -124,7 +131,7 @@ def test_theory_lowrank_centering_applies_updates_and_matches_dense(rng, sketch_
     params = IpmParams.for_instance(base, mode="theory")
     t_end = (1.0 - params.h) ** 150
     low = centering_lowrank(base, x0, s0, 1.0, t_end, params, seed=0, collect_trace=True)
-    dense = ipm.centering(base, x0, s0, 1.0, t_end, params, backend="dense")
+    dense = ipm.centering(base, x0, s0, 1.0, t_end, params)
     assert low.iterations == dense.iterations >= 150
     assert low.trace[-1]["restarts"] > 1
     assert sketch_updates

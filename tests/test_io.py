@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rankqp import kernel
 from rankqp.exceptions import ParseError, ValidationError
 from rankqp.libsvm_io import (Dataset, emit_libsvm_lines, parse_libsvm,
                               parse_libsvm_lines)
@@ -57,6 +58,15 @@ def test_to_dense_refuses_huge_width():
     # byte cap; the refusal names both dimensions.
     ds = parse_libsvm_lines(["+1 1:1 1000000000000:2", "-1 2:1"])
     with pytest.raises(ValidationError, match="2 x 1000000000000"):
+        ds.to_dense()
+
+
+def test_to_dense_reads_the_kernel_byte_cap(monkeypatch):
+    # The cap is the kernel factor's, read when to_dense runs: lowering it
+    # below a 2 x 3 matrix's 48 bytes refuses the matrix.
+    ds = parse_libsvm_lines(["+1 1:1 3:2", "-1 2:1"])
+    monkeypatch.setattr(kernel, "_FACTOR_BYTES_CAP", 40)
+    with pytest.raises(ValidationError, match="needs 48 bytes, over the cap of 40"):
         ds.to_dense()
 
 

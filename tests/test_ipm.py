@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rankqp import barrier, build_qp_instance, ipm, model
 from rankqp.barrier import BlockDomain
-from rankqp.exceptions import ValidationError
+from rankqp.exceptions import SolverError, ValidationError
 from rankqp.ipm import (IpmParams, central_path_step, centering,
                         compute_error_terms, potential, step_direction)
 
@@ -225,12 +226,25 @@ def test_theory_mode_flags_potential_violation(rng):
 
 
 def test_centering_iteration_cap(rng):
-    from rankqp.exceptions import SolverError
     inst = random_lowrank_instance(rng, n=5, k=1, m=0)
     aug, x0, s0 = model.augment_for_initial_point(inst, 0.2)
-    params = IpmParams.for_instance(aug.base, mode="theory", max_iter=3)
-    with pytest.raises(SolverError):
+    params = dataclasses.replace(IpmParams.for_instance(aug.base, mode="theory"),
+                                 max_iter=3)
+    with pytest.raises(SolverError, match="centering exceeded 3 iterations"):
         centering(aug.base, x0, s0, 1.0, 1e-6, params)
+
+
+@pytest.mark.parametrize("backend", ["dense", "auto"])
+def test_predictor_corrector_iteration_cap(rng, monkeypatch, backend):
+    # The cap is read when the solve runs: a solve that needs one iteration
+    # more than it allows fails loudly instead of returning.
+    inst = random_lowrank_instance(rng, n=20, k=2, m=1)
+    needed = ipm.solve(inst, 1e-6, backend=backend).report["iterations"]
+    monkeypatch.setattr(ipm, "_PC_MAX_ITER", needed)
+    assert ipm.solve(inst, 1e-6, backend=backend).report["iterations"] == needed
+    monkeypatch.setattr(ipm, "_PC_MAX_ITER", needed - 1)
+    with pytest.raises(SolverError, match=f"predictor-corrector exceeded {needed - 1} "):
+        ipm.solve(inst, 1e-6, backend=backend)
 
 
 def test_practical_solve_reaches_oracle_gap(rng):

@@ -27,9 +27,10 @@ def test_exact_kernel_psd(rng):
     assert np.linalg.eigvalsh(K)[0] >= -1e-10
 
 
-def test_exact_kernel_cap():
+def test_exact_kernel_cap(monkeypatch):
+    monkeypatch.setattr(kernel, "_ORACLE_CAP", 5)
     with pytest.raises(ValidationError):
-        kernel.exact_gaussian_kernel(np.zeros((10, 1)), cap=5)
+        kernel.exact_gaussian_kernel(np.zeros((10, 1)))
 
 
 def test_chebyshev_endpoint_and_certificate():
@@ -118,13 +119,14 @@ def test_factor_linf_guarantee_random_vectors(rng):
         assert np.abs(K @ v - fact.U @ (fact.V.T @ v)).max() <= eps * np.abs(v).sum()
 
 
-def test_factor_rank_cap_error(rng):
+def test_factor_rank_cap_error(rng, monkeypatch):
     X = rng.normal(size=(20, 8))
+    monkeypatch.setattr(kernel, "_FACTOR_BYTES_CAP", 16 * 20 * 100)
     with pytest.raises(ValidationError):
-        kernel.gaussian_lowrank_factor(X, 1e-9, byte_cap=16 * 20 * 100)
+        kernel.gaussian_lowrank_factor(X, 1e-9)
 
 
-def test_factor_byte_cap_counts_rows(rng):
+def test_factor_byte_cap_counts_rows(rng, monkeypatch):
     # The same rank fits for few rows and is refused for many, with both the
     # needed bytes and the cap in the message; the cap is checked before U
     # and V exist, so a small cap keeps this test small.
@@ -132,9 +134,11 @@ def test_factor_byte_cap_counts_rows(rng):
     fact = kernel.gaussian_lowrank_factor(X[:10], 1e-6)
     need = 16 * 400 * math.comb(fact.degree + 4, 4)
     cap = 16 * 10 * math.comb(fact.degree + 4, 4)
-    assert kernel.gaussian_lowrank_factor(X[:10], 1e-6, byte_cap=cap).rank == fact.rank
-    with pytest.raises(ValidationError, match=f"need {need} bytes.*cap of {cap} bytes"):
-        kernel.gaussian_lowrank_factor(X, 1e-6, byte_cap=cap)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_FACTOR_BYTES_CAP", cap)
+        assert kernel.gaussian_lowrank_factor(X[:10], 1e-6).rank == fact.rank
+        with pytest.raises(ValidationError, match=f"need {need} bytes.*cap of {cap} bytes"):
+            kernel.gaussian_lowrank_factor(X, 1e-6)
     # The default cap refuses n = 2000, d = 8 at rank binom(21, 9) (about
     # 9.4 GB) and admits kernel-sized factors such as n = 4000 at rank 5005.
     assert 16 * 2000 * math.comb(21, 9) > kernel._FACTOR_BYTES_CAP

@@ -6,8 +6,11 @@ import sys
 
 import numpy as np
 
+from rankqp import ipm
 from rankqp.cli import cli_run
 from rankqp.libsvm_io import Dataset, emit_libsvm
+
+from conftest import random_lowrank_instance
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,3 +39,18 @@ def test_tracer_wraps_every_target_and_restores(tmp_path):
     # The commands call the model file functions through the names in cli.
     assert {"cli.dump_model", "cli.load_model", "svm.train"} <= names
     assert [vars(owner)[attr] for owner, attr, _, _ in tracing._targets()] == originals
+
+
+def test_tracer_sees_every_layer_of_the_maintained_solve(rng):
+    # solve(backend="lowrank") reaches ExactDS, the sketches, the maintained
+    # centering loop and the augmentation through the names the tracer wraps.
+    tracing = _load_tracing()
+    inst = random_lowrank_instance(rng, n=12, k=2, m=1)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        tracer.run = 0
+        ipm.solve(inst, 1e-2, backend="lowrank")
+    names = {span.name for span in tracer.spans}
+    assert {"exactds.ExactDS.init", "exactds.ExactDS.move", "exactds.ExactDS.update",
+            "sketch.ApproxDS.init", "sketch.ApproxDS.move_and_query",
+            "sketch.ApproxDS.update", "cpm.centering_lowrank",
+            "model.augment_for_initial_point"} <= names
