@@ -154,8 +154,12 @@ def factor_newton(inst: model.QPInstance, d, backend, counts=None):
     its Cholesky factor (LU if B is not numerically positive definite);
     "woodbury" keeps Q = UV' factored and applies B^-1 through the k x k
     capacitance, never forming an n x n matrix.  A ridged solve with S is
-    counted in ``counts["ridge_uses"]`` (see _solve_normal).
+    counted in ``counts["ridge_uses"]`` (see _solve_normal).  A non-finite d
+    raises SolverError.
     """
+    if not np.all(np.isfinite(d)):
+        raise SolverError("Newton matrix diagonal is not finite: an iterate "
+                          "reached a box wall in floating point")
     if backend == "dense":
         B = inst.q_dense() + np.diag(d)
         try:

@@ -18,7 +18,7 @@ from rankqp.sketch import BatchSketch
 from rankqp.exactds import UpdateDeltas
 from rankqp.svm import SvmSpec, predict, train
 
-from conftest import random_lowrank_instance
+from conftest import exact_box_qp, random_lowrank_instance
 
 
 def _report(num, ok, detail):
@@ -29,13 +29,15 @@ def _report(num, ok, detail):
 
 def test_criterion_01_solution_quality():
     # 100 random low-rank QPs (n <= 50, k <= 5, m <= 2), eps = 1e-3:
-    # objective within eps L R (R+1) of the oracle, l1 feasibility within
-    # 3 eps (R ||A||_1 + ||b||_1), under 60 s total.
+    # objective within eps L R (R+1) of the oracle, and of the exact
+    # reference when n <= 8, l1 feasibility within 3 eps (R ||A||_1 + ||b||_1),
+    # under 60 s total.
     rng = np.random.default_rng(101)
     eps = 1e-3
     t0 = time.perf_counter()
     worst_gap_ratio = 0.0
     worst_feas_ratio = 0.0
+    exact = 0
     for trial in range(100):
         n = int(rng.integers(5, 51))
         k = int(rng.integers(1, 6))
@@ -47,13 +49,20 @@ def test_criterion_01_solution_quality():
         budget = eps * inst.L * inst.R * (inst.R + 1)
         gap = sol.report["objective"] - rep.objective
         worst_gap_ratio = max(worst_gap_ratio, gap / budget)
+        if n <= 8:
+            exact += 1
+            opt = exact_box_qp(inst)
+            assert abs(rep.objective - opt) <= 1e-8 + 1e-12 * abs(opt)
+            worst_gap_ratio = max(worst_gap_ratio,
+                                  abs(sol.report["objective"] - opt) / budget)
         if m:
             bound = 3 * eps * (inst.R * np.abs(inst.A).sum() + np.abs(inst.b).sum())
             worst_feas_ratio = max(worst_feas_ratio,
                                    sol.report["primal_residual_l1"] / bound)
     elapsed = time.perf_counter() - t0
     ok = worst_gap_ratio <= 1.0 and worst_feas_ratio <= 1.0 and elapsed <= 60.0
-    _report(1, ok, f"100 instances, worst gap ratio {worst_gap_ratio:.3f}, "
+    _report(1, ok, f"100 instances ({exact} also exact), "
+                   f"worst gap ratio {worst_gap_ratio:.3f}, "
                    f"worst feasibility ratio {worst_feas_ratio:.3g}, {elapsed:.1f}s")
 
 

@@ -13,6 +13,8 @@ from rankqp import kernel, svm
 from rankqp.cli import build_parser, cli_run, dump_model
 from rankqp.libsvm_io import Dataset, emit_libsvm
 
+from conftest import wall_instance
+
 
 @pytest.fixture
 def two_point_data(tmp_path):
@@ -215,6 +217,20 @@ def test_verify_mismatch_exits_3(qp_instance_file, tmp_path):
     data["kkt"]["objective"] += 1.0  # corrupt the stored measurement
     report.write_text(json.dumps(data))
     assert cli_run(["verify", str(report), qp_instance_file]) == 3
+
+
+def test_solve_qp_wall_hit_exits_3(tmp_path, capsys):
+    # An iterate on a box wall makes the Newton matrix non-finite: a solver
+    # failure (exit 3), not a traceback.
+    inst, eps = wall_instance(53)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "c": inst.c.tolist(), "A": inst.A.tolist(), "b": inst.b.tolist(),
+        "blocks": [{"lo": a, "hi": b} for a, b in zip(inst.lo.tolist(), inst.hi.tolist())],
+        "U": inst.U.tolist(), "V": inst.V.tolist()}))
+    assert cli_run(["solve-qp", str(path), "--epsilon", repr(eps),
+                    "--report", str(tmp_path / "out.json")]) == 3
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_verify_report_without_solution_exits_2(two_point_data, qp_instance_file,

@@ -10,7 +10,7 @@ from rankqp.exceptions import SolverError, ValidationError
 from rankqp.ipm import (IpmParams, central_path_step, centering,
                         compute_error_terms, potential, step_direction)
 
-from conftest import random_lowrank_instance
+from conftest import random_lowrank_instance, wall_instance
 
 
 def _one_block_instance(c=0.0):
@@ -375,7 +375,8 @@ def test_ladder_practical_iterations(rng, n):
 def test_degenerate_equality_rows_count_ridge(rng, backend, second):
     # A second row equal to the first (or zero, with b = 0) makes the
     # normal matrix A B^-1 A' singular; the retried solves are counted in
-    # the report, and the answer is the one-row program's.
+    # the report, and the answer is the one-row program's, which the
+    # reference also finds on the two-row program itself.
     from rankqp import oracle
     n = 40
     data = dict(c=rng.normal(size=n), blocks=[BlockDomain.box(0, 1)] * n,
@@ -389,6 +390,22 @@ def test_degenerate_equality_rows_count_ridge(rng, backend, second):
     assert sol.report["ridge_uses"] >= 1
     _, _, _, ref = oracle.dense_solve_qp(build_qp_instance(A=a, b=b, **data), tol=1e-9)
     assert abs(sol.report["objective"] - ref.objective) <= sol.report["error_budget"]
+    _, _, _, two_row = oracle.dense_solve_qp(inst, tol=1e-9)
+    assert abs(two_row.objective - ref.objective) <= 1e-8
+    assert abs(sol.report["objective"] - two_row.objective) <= sol.report["error_budget"]
+
+
+@pytest.mark.parametrize("seed", [53, 92, 209])
+def test_non_finite_newton_matrix_raises_solver_error(seed):
+    inst, eps = wall_instance(seed)
+    with pytest.raises(SolverError, match="not finite"):
+        ipm.solve(inst, eps)
+
+
+def test_solve_within_budget_of_exact_reference(exact_cases):
+    for inst, opt in exact_cases:
+        sol = ipm.solve(inst, 1e-3)
+        assert abs(sol.report["objective"] - opt) <= sol.report["error_budget"]
 
 
 def test_auto_matches_oracle(rng):
