@@ -24,7 +24,7 @@ from .exceptions import (InvariantViolation, ParseError, RankQPError,
 from .libsvm_io import parse_libsvm
 from .svm import dump_model, load_model
 
-SCHEMA = 3
+SCHEMA = 4
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_SOLVER = 3

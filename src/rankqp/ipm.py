@@ -289,7 +289,9 @@ def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
     carries the measured residuals, so the start need not satisfy Ax = b and
     rounding never accumulates.  Stops once ``oracle.certified_gap`` of
     (x, y) is at most gap_target and ||b - Ax||_1 at most resid_target, and
-    returns s = Qx + c + A'y, the slack that certificate measures.
+    returns s = Qx + c + A'y, the slack that certificate measures.  The
+    dense step tests the gap with its dense Q and confirms a stop with the
+    certificate's own product, so the promise holds to the last bit.
     """
     lo, hi = inst.lo, inst.hi
     x = model.analytic_center_point(inst)
@@ -310,11 +312,17 @@ def predictor_corrector(inst: model.QPInstance, gap_target, resid_target,
         r_p = inst.b - inst.A @ x
         gap = oracle.duality_gap(inst, x, s) + abs(float(y @ r_p))
         if gap <= gap_target and float(np.abs(r_p).sum()) <= resid_target:
-            return CenteringResult(x=x, s=s, y=y, iterations=it,
-                                   ridge_uses=counts["ridge_uses"])
+            if backend == "dense":
+                # Confirm the stop with the certificate's own product.
+                s = inst.q_matvec(x) + inst.c + At @ y
+                gap = oracle.duality_gap(inst, x, s) + abs(float(y @ r_p))
+            if gap <= gap_target:
+                return CenteringResult(x=x, s=s, y=y, iterations=it,
+                                       ridge_uses=counts["ridge_uses"])
         if it >= _PC_MAX_ITER:
             raise SolverError(f"predictor-corrector exceeded {_PC_MAX_ITER} iterations")
         r_d = zl - zu - s
+        solve = None  # the last iteration's factor goes before the next is built
         solve = factor_newton(inst, zl / gl + zu / gu, backend, counts)
 
         def newton(rl, ru):

@@ -1,9 +1,12 @@
-"""Low-rank factorization of the Gaussian kernel via polynomial approximation.
+"""Low-rank factorizations of the Gaussian kernel K_ij = exp(-||x_i - x_j||^2).
 
-The kernel matrix K_ij = exp(-||x_i - x_j||^2) is replaced by U V' where
-(U V')_ij = p(||x_i - x_j||^2) for a degree-q polynomial p certified to
-approximate exp(-z) on [0, B] within a dense-grid sup-error bound, B being
-the squared dataset radius.  Expanding
+``pivoted_cholesky_factor`` is the factor training uses: K = LL' + E with E
+positive semidefinite and its trace measured, built one column at a time.
+
+``gaussian_lowrank_factor`` is the polynomial (Chebyshev) factor: K is
+replaced by U V' where (U V')_ij = p(||x_i - x_j||^2) for a degree-q
+polynomial p certified to approximate exp(-z) on [0, B] within a dense-grid
+sup-error bound, B being the squared dataset radius.  Expanding
 
     p(u + v - 2 <x_i, x_j>) = sum over (b0, b1, monomial m) of
         p_t * t! / (b0! b1! prod_a m_a!) * (-2)^{|m|} u^{b0} v^{b1} x_i^m x_j^m
@@ -60,6 +63,108 @@ def squared_radius(X):
         d2 = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
         best = max(best, float(d2.max()))
     return best
+
+
+# Columns of a new pivoted-Cholesky factor's first buffer.
+_PIVOT_CAPACITY = 64
+
+
+@dataclass(frozen=True)
+class PivotedCholesky:
+    """K = LL' + E for the Gaussian kernel of n points, where E is positive
+    semidefinite (up to rounding) and ``residual`` is its diagonal."""
+    L: np.ndarray          # (n, k), Fortran order
+    pivots: np.ndarray     # (k,) the point each column pivots on, in order
+    residual: np.ndarray   # (n,) diag(E), clamped at 0
+
+    @property
+    def rank(self):
+        return self.L.shape[1]
+
+    @property
+    def trace_residual(self):
+        """tr(E); it bounds ||E||_2, so 0 <= x'Kx - x'LL'x <= tr(E) ||x||^2."""
+        return float(self.residual.sum())
+
+
+def _pivot_column(buf, X, residual, j, p):
+    """Write column j of L, pivoted on point p, into the column-major buffer
+    and subtract its square from the residual diagonal."""
+    n = X.shape[0]
+    col = buf[j * n:(j + 1) * n]
+    diff = X - X[p]
+    np.einsum("ij,ij->i", diff, diff, out=col)
+    # Copies of x_p (p among them) get p's exact values, sqrt(residual[p])
+    # and a zero residual, so a repeated point never pivots on rounding.
+    same = col == 0.0
+    np.negative(col, out=col)
+    np.exp(col, out=col)
+    if j:
+        prev = buf[:j * n].reshape((n, j), order="F")
+        col -= prev @ prev[p]
+    pivot = math.sqrt(residual[p])
+    col /= pivot
+    col[same] = pivot
+    residual -= col * col
+    np.maximum(residual, 0.0, out=residual)
+    residual[same] = 0.0
+
+
+def _buffer_size(n, cols):
+    """Elements of an n x cols buffer of L; refused over _FACTOR_BYTES_CAP."""
+    need = 8 * n * cols
+    if need > _FACTOR_BYTES_CAP:
+        raise ValidationError(
+            f"pivoted-Cholesky factor needs {need} bytes (n = {n}, {cols} "
+            f"columns), over the cap of {_FACTOR_BYTES_CAP} bytes; use a larger "
+            "tolerance or fewer points")
+    return n * cols
+
+
+def pivoted_cholesky_factor(X, tol, state=None) -> PivotedCholesky:
+    """Greedy pivoted Cholesky factor of the Gaussian kernel of X, grown
+    until tr(E) <= tol or k = n.  Once no residual entry is positive (as
+    after duplicate points) tr(E) is 0, so it stops there too.
+
+    Each column pivots on the largest residual diagonal entry: one kernel
+    column exp(-||x_i - x_p||^2) minus the earlier columns, O(n (k + d))
+    time; no n x n array is formed, and a factor over _FACTOR_BYTES_CAP is
+    refused before it is allocated.  ``state``, a factor of the same X as
+    this function returned it, is extended instead of rebuilt, and the
+    result is bit-identical to the one-shot factor at the tighter tol.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValidationError("X must be a 2-d data matrix")
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("X has non-finite entries")
+    if not tol >= 0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
+    n = X.shape[0]
+    if state is None:
+        k, pivots, residual = 0, [], np.ones(n)
+    else:
+        if state.L.shape[0] != n:
+            raise ValidationError(f"state factors {state.L.shape[0]} points, X has {n}")
+        k, pivots, residual = state.rank, list(state.pivots), state.residual.copy()
+    # L lives in a private flat buffer that no view outlives (views are made
+    # only inside _pivot_column), so it can grow by a quarter at a time and
+    # finally shrink to n x k by reallocation, never holding two copies of
+    # itself.  The reference check is off because a profiler's hold on the
+    # bound method counts as a reference to buf, though not to its data.
+    buf = np.empty(_buffer_size(n, min(n, max(_PIVOT_CAPACITY, k + k // 4))))
+    if k:
+        buf[:n * k] = state.L.ravel(order="F")
+    while k < n and float(residual.sum()) > tol:
+        p = int(np.argmax(residual))
+        if buf.size < n * (k + 1):
+            buf.resize(_buffer_size(n, min(n, k + k // 4)), refcheck=False)
+        _pivot_column(buf, X, residual, k, p)
+        pivots.append(p)
+        k += 1
+    buf.resize(n * k, refcheck=False)
+    return PivotedCholesky(L=buf.reshape((n, k), order="F"),
+                           pivots=np.array(pivots, dtype=np.intp), residual=residual)
 
 
 def _certified_sup_error(coeffs, B):

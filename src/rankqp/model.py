@@ -94,8 +94,9 @@ def build_qp_instance(c, A, b, blocks, weights=None, R=None, r=None, L=None,
     """Validate problem data and build an immutable instance.
 
     Exactly one of (U, V) / Q may describe the objective; both absent means
-    a linear objective.  R defaults to the tightest ball enclosing the
-    boxes, r to a quarter of the smallest box half-width, and L to
+    a linear objective.  A symmetric factor given as V is U stays one array:
+    the instance's V is its U.  R defaults to the tightest ball enclosing
+    the boxes, r to a quarter of the smallest box half-width, and L to
     max(||c||_2, crude bound on ||Q||).
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -119,8 +120,9 @@ def build_qp_instance(c, A, b, blocks, weights=None, R=None, r=None, L=None,
     if U is not None and Q is not None:
         raise ValidationError("give either factors (U, V) or dense Q, not both")
     if U is not None:
+        shared = V is U
         U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
+        V = U if shared else np.asarray(V, dtype=float)
         if U.ndim != 2 or U.shape != V.shape or U.shape[0] != n:
             raise ValidationError(f"factor shapes {U.shape}, {V.shape} do not match n={n}")
     if Q is not None:
@@ -169,10 +171,10 @@ def build_qp_instance(c, A, b, blocks, weights=None, R=None, r=None, L=None,
     if not L > 0:
         raise ValidationError("Lipschitz bound L must be positive")
 
+    frozen_U = None if U is None else _freeze(U)
     return QPInstance(c=_freeze(c), A=_freeze(A), b=_freeze(b), blocks=tuple(blocks),
                       w=_freeze(weights), R=float(R), r=float(r), L=float(L),
-                      U=None if U is None else _freeze(U),
-                      V=None if V is None else _freeze(V),
+                      U=frozen_U, V=frozen_U if V is U else _freeze(V),
                       Q=None if Q is None else _freeze(Q),
                       lo=_freeze(lo), hi=_freeze(hi), nu=_freeze(nu))
 

@@ -2,14 +2,14 @@
 
 Every variant becomes  min 1/2 a'Qa + p'a  over a box with one or two
 equality rows; maximization forms are negated in and the reported dual
-objective negated back out.  Classification objectives carry
-Q = (yy') o K through label-scaled kernel factors, regression variants
-stack to dimension 2n with factors [U; -U], [V; -V].  The plain-text model
-file (``dump_model``/``load_model``) is kept here beside the model it holds.
+objective negated back out.  Every objective is Q = GG' with one factor G
+built from a factor F of the kernel, K ~ FF': classification carries
+Q = (yy') o K through the label-scaled D_y F, regression stacks to
+dimension 2n with [F; -F].  The plain-text model file
+(``dump_model``/``load_model``) is kept here beside the model it holds.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +20,8 @@ from .exceptions import ParseError, ValidationError
 VARIANTS = ("hard", "c-svc", "nu-svc", "one-class", "eps-svr", "nu-svr")
 CLASSIFICATION = ("hard", "c-svc", "nu-svc")
 _SUPPORT_REL = 1e-5
+# The first Gaussian factor's tr(E), as a fraction of eps_solve.
+_FIRST_TRACE = 0.1
 
 
 @dataclass(frozen=True)
@@ -89,17 +91,6 @@ def dual_box(spec: SvmSpec):
     return cap, 2 * n if spec.variant in ("eps-svr", "nu-svr") else n
 
 
-def _kernel_factors(spec: SvmSpec, eps_factor):
-    """(U, V, report): the factor of K, and the Gaussian factor's degree,
-    rank and errors (None for the linear kernel, whose U and V are X)."""
-    if spec.kernel == "linear":
-        return spec.X, spec.X, None
-    fact = kernel.gaussian_lowrank_factor(spec.X, eps_factor)
-    report = {"degree": fact.degree, "rank": fact.rank,
-              "sup_error": fact.sup_error, "prune_slack": fact.prune_slack}
-    return fact.U, fact.V, report
-
-
 def _stack_negated(F):
     """[F; -F] written into one new array."""
     out = np.empty((2 * F.shape[0], F.shape[1]))
@@ -112,32 +103,31 @@ def _stack_negated(F):
 class ReducedQP:
     instance: model.QPInstance
     maximization: bool
-    factor_report: dict = None     # Gaussian factor's degree, rank and errors; None for linear
 
 
-def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
-    """Transcribe the variant into the solver's minimization form.
+def reduce_to_qp(spec: SvmSpec, factor: kernel.PivotedCholesky = None) -> ReducedQP:
+    """Transcribe the variant into the solver's minimization form, with
+    Q = GG' and one array G as both U and V.
 
-    A Gaussian factor is built for this call alone, so classification scales
-    its rows by the labels in place and the instance holds the only copy;
-    the linear kernel's factor is the caller's X, which gets one scaled
-    copy shared by U and V.  Regression stacks each factor into one new
-    array and drops the unstacked one before stacking the next; the linear
-    kernel's U and V share one stacked [X; -X]."""
+    The linear kernel's G is built from the caller's X.  The Gaussian kernel
+    needs ``factor`` (K ~ LL'), whose L becomes the instance's own:
+    classification scales its rows by the labels in place, and scaling again
+    by the labels restores them exactly.  Otherwise G is X or L itself
+    (one-class), one label-scaled copy of X (classification), or one new
+    stacked [F; -F] (regression)."""
     n = spec.X.shape[0]
-    U, V, factor_report = _kernel_factors(spec, eps_factor)
-    gaussian = factor_report is not None
+    gaussian = spec.kernel == "gaussian"
+    if gaussian and factor is None:
+        raise ValidationError("the Gaussian kernel reduces only with its factor")
+    G = factor.L if gaussian else spec.X
     ones = np.ones(n)
-    # trace(UV') without an n x k temporary; equals trace(K) up to eps
-    trace_bound = float(np.einsum("ij,ij->", U, V))
+    # trace(GG') without an n x k temporary
+    trace_bound = float(np.einsum("ij,ij->", G, G))
 
     if spec.variant in CLASSIFICATION:
-        U, V = kernel.scale_by_labels(U, V, spec.y, in_place=gaussian)
+        G = kernel.scale_by_labels(G, G, spec.y, in_place=gaussian)[0]
     elif spec.variant in ("eps-svr", "nu-svr"):
-        # Rebinding U drops the unstacked factor before V is stacked.
-        shared = V is U
-        U = _stack_negated(U)
-        V = U if shared else _stack_negated(V)
+        G = _stack_negated(G)
         trace_bound *= 2.0
 
     if spec.variant in ("hard", "c-svc"):
@@ -169,9 +159,8 @@ def reduce_to_qp(spec: SvmSpec, eps_factor=1e-6) -> ReducedQP:
     R = float(np.linalg.norm(caps))
     r = float(caps.min()) / 4.0
     L = max(float(np.linalg.norm(p)), abs(trace_bound) * 1.05, 1.0)
-    inst = model.build_qp_instance(p, A, b, boxes, R=R, r=r, L=L, U=U, V=V)
-    return ReducedQP(instance=inst, maximization=spec.variant in ("hard", "c-svc"),
-                     factor_report=factor_report)
+    inst = model.build_qp_instance(p, A, b, boxes, R=R, r=r, L=L, U=G, V=G)
+    return ReducedQP(instance=inst, maximization=spec.variant in ("hard", "c-svc"))
 
 
 @dataclass
@@ -240,28 +229,50 @@ def recover_primal(alpha, spec: SvmSpec, y_eq):
 
 
 def train(spec: SvmSpec, eps_solve=1e-4):
-    """Train to additive dual-objective error eps_solve against the exact
-    optimum of the reduced program (Gaussian kernels add the certified
-    entrywise kernel error on top).
+    """Train to a dual objective certified within eps_solve of the exact
+    kernel's optimum: the report's "certificate" bounds f_K(alpha) - OPT_K
+    in the reduced minimization form, K being the exact kernel.
 
     The reduced program is solved by ``ipm.solve`` with the automatic
     backend choice, that is by the predictor-corrector with the dense or
-    the Woodbury step.  The factor's entrywise target
-    eps_solve / (n R^2) is clamped into [1e-12, 1e-3]; the report gives the
-    target ("kernel_eps_target") beside the tolerance the factor was built
-    to ("kernel_eps")."""
-    n = spec.X.shape[0]
-    if spec.kernel == "gaussian":
-        cap, dim = dual_box(spec)
-        R_est = cap * math.sqrt(dim)
-        target = eps_solve / (max(n, 2) * R_est**2)
-        eps1 = min(max(target, 1e-12), 1e-3)
-    else:
-        target = eps1 = None
-    red = reduce_to_qp(spec, eps_factor=eps1)
-    inst = red.instance
-    eps_qp = min(0.5, eps_solve / (inst.L * inst.R * (inst.R + 1.0)))
-    sol = ipm.solve(inst, eps_qp)
+    the Woodbury step.  The linear kernel is exact: its certificate is the
+    solve's certified duality gap, and the solve runs to eps_solve.
+
+    The Gaussian kernel trains on a pivoted-Cholesky factor K = LL' + E,
+    first built to tr(E) <= eps_solve / 10, with the solve run to
+    eps_solve / 2.  E is positive semidefinite, so f_L <= f_K everywhere,
+    OPT_L <= OPT_K and
+
+        f_K(alpha) - OPT_K <= gap_L + beta'E beta / 2 <= gap_L + tr(E) ||beta||^2 / 2,
+
+    beta being the decision function's coefficients (``_dual_coef``).  While
+    that certificate exceeds eps_solve, the same factor is extended until
+    its term fits in half the room the next solve leaves, and the program
+    is solved again.  The report's "kernel_factor" gives the method, the
+    rank, tr(E) and the number of extensions (None for the linear kernel).
+    """
+    gaussian = spec.kernel == "gaussian"
+    factor = (kernel.pivoted_cholesky_factor(spec.X, _FIRST_TRACE * eps_solve)
+              if gaussian else None)
+    share = 0.5 if gaussian else 1.0
+    extensions = 0
+    while True:
+        red = reduce_to_qp(spec, factor)
+        inst = red.instance
+        eps_qp = min(0.5, share * eps_solve / (inst.L * inst.R * (inst.R + 1.0)))
+        sol = ipm.solve(inst, eps_qp)
+        certificate = sol.report["duality_gap"]
+        if not gaussian:
+            break
+        beta_sq = float(np.sum(_dual_coef(spec, sol.x) ** 2))
+        certificate += 0.5 * factor.trace_residual * beta_sq
+        if certificate <= eps_solve:
+            break
+        if spec.variant in CLASSIFICATION:  # undo reduce_to_qp's label scaling
+            kernel.scale_by_labels(factor.L, factor.L, spec.y, in_place=True)
+        room = eps_solve - sol.report["error_budget"]
+        factor = kernel.pivoted_cholesky_factor(spec.X, room / beta_sq, state=factor)
+        extensions += 1
     alpha = sol.x
     dual_obj = inst.objective(alpha)
     if red.maximization:
@@ -272,8 +283,11 @@ def train(spec: SvmSpec, eps_solve=1e-4):
     report = dict(sol.report)
     report.update({"dual_objective": dual_obj, "variant": spec.variant,
                    "kernel": spec.kernel, "eps_solve": eps_solve,
-                   "kernel_eps": eps1, "kernel_eps_target": target,
-                   "kernel_factor": red.factor_report,
+                   "certificate": certificate,
+                   "kernel_factor": {
+                       "method": "pivoted-cholesky", "rank": factor.rank,
+                       "trace_residual": factor.trace_residual,
+                       "extensions": extensions} if gaussian else None,
                    "equality_residual_l1": inst.primal_residual_l1(alpha),
                    "kkt": {"stationarity": kkt.stationarity,
                            "primal_residual_l1": kkt.primal_residual_l1,

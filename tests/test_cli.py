@@ -124,7 +124,7 @@ def test_train_svm_two_point(two_point_data, tmp_path):
                     "--report", str(report), "--model-out", str(model)])
     assert code == 0
     rep = _load(report)
-    assert rep["schema"] == 3
+    assert rep["schema"] == 4
     assert rep["objective"] == pytest.approx(0.5, abs=1e-3)
     assert rep["n_support"] == 2
     # Training draws nothing and has one solver path: no seed, no mode.
@@ -147,7 +147,7 @@ def test_solve_qp_reports_seed_only_for_lowrank(qp_instance_file, tmp_path, back
     assert cli_run(["solve-qp", qp_instance_file, "--backend", backend,
                     "--seed", "5", "--report", str(report)]) == 0
     rep = _load(report)
-    assert rep["schema"] == 3
+    assert rep["schema"] == 4
     assert "mode" not in _keys(rep)
     assert ("seed" in _keys(rep)) == seed_in_report
     if seed_in_report:
@@ -408,3 +408,22 @@ def test_infinite_box_bound_exits_2(qp_instance_file, capsys):
         json.dump(inst, fh)
     assert cli_run(["solve-qp", qp_instance_file]) == 2
     assert "box bound hi must be finite" in capsys.readouterr().err
+
+
+def test_train_svm_gaussian_on_wide_data(tmp_path):
+    # 60 points drawn uniformly from [-1.5, 1.5]^2 (squared diameter about
+    # 17): the polynomial factor refuses this radius at training's accuracy,
+    # the pivoted-Cholesky factor does not.
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1.5, 1.5, size=(60, 2))
+    assert kernel.squared_radius(X) > 8.0
+    y = np.where(X[:, 0] * X[:, 1] >= 0, 1.0, -1.0)
+    data = tmp_path / "wide.svm"
+    emit_libsvm(Dataset.from_dense(X, y), data)
+    report = tmp_path / "train.json"
+    assert cli_run(["train-svm", str(data), "--kernel", "gaussian", "--C", "5",
+                    "--report", str(report)]) == 0
+    rep = _load(report)
+    assert rep["solve"]["certificate"] <= 1e-3  # the default --epsilon
+    assert rep["solve"]["kernel_factor"]["method"] == "pivoted-cholesky"
+    assert cli_run(["factor-kernel", str(data), "--epsilon", "1e-11"]) == 2

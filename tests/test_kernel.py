@@ -258,3 +258,100 @@ def test_factor_build_memory_is_linear_in_output(rng):
     del fact, feats
     _, peak = _traced_peak(kernel.squared_radius, X)
     assert peak <= 0.5 * 8 * n * n
+
+
+# -- pivoted Cholesky ---------------------------------------------------------
+
+def test_pivoted_cholesky_residual_is_the_trace(rng):
+    # diag(E) sums to tr(K) - ||L||_F^2 = n - ||L||_F^2, and tr(E) <= tol.
+    X = _scaled(rng.uniform(-1.0, 1.0, size=(300, 4)), 3.9)
+    fac = kernel.pivoted_cholesky_factor(X, 1e-5)
+    assert fac.L.flags.f_contiguous and fac.L.shape == (300, fac.rank)
+    assert fac.trace_residual <= 1e-5 < 1e-5 * 300
+    assert fac.trace_residual == pytest.approx(300 - np.sum(fac.L ** 2), rel=0, abs=1e-11)
+    assert np.all(fac.residual >= 0.0) and np.all(fac.residual[fac.pivots] == 0.0)
+    assert np.unique(fac.pivots).size == fac.rank
+
+
+def test_pivoted_cholesky_residual_is_psd(rng):
+    X = rng.normal(size=(200, 3)) * 0.5
+    fac = kernel.pivoted_cholesky_factor(X, 1e-4)
+    assert 0 < fac.rank < 200
+    E = kernel.exact_gaussian_kernel(X) - fac.L @ fac.L.T
+    assert np.linalg.eigvalsh(E)[0] >= -1e-12
+    assert np.allclose(np.diag(E), fac.residual, rtol=0, atol=1e-12)
+    assert np.trace(E) == pytest.approx(fac.trace_residual, rel=0, abs=1e-12)
+
+
+def test_pivoted_cholesky_extension_equals_one_shot(rng):
+    X = rng.normal(size=(150, 3)) * 0.6
+    tight = kernel.pivoted_cholesky_factor(X, 1e-8)
+    loose = kernel.pivoted_cholesky_factor(X, 1e-2)
+    grown = kernel.pivoted_cholesky_factor(X, 1e-8, state=loose)
+    assert loose.rank < grown.rank
+    assert np.array_equal(grown.L, tight.L)
+    assert np.array_equal(grown.pivots, tight.pivots)
+    assert np.array_equal(grown.residual, tight.residual)
+    # the state itself is left as it was
+    assert np.array_equal(loose.L, tight.L[:, :loose.rank])
+
+
+def test_pivoted_cholesky_full_rank_reproduces_kernel(rng):
+    X = rng.normal(size=(40, 2))
+    fac = kernel.pivoted_cholesky_factor(X, 0.0)
+    assert fac.rank == 40 and fac.trace_residual == 0.0
+    assert np.abs(fac.L @ fac.L.T - kernel.exact_gaussian_kernel(X)).max() <= 1e-12
+
+
+def test_pivoted_cholesky_duplicate_points(rng):
+    # Each repeated point leaves an exact zero residual, so the factor stops
+    # at the distinct points without dividing by zero.
+    base = rng.normal(size=(15, 2)) * 3.0
+    X = np.vstack([base, base, base[:5]])
+    with np.errstate(divide="raise", invalid="raise"):
+        fac = kernel.pivoted_cholesky_factor(X, 0.0)
+    assert fac.rank == 15 and fac.trace_residual == 0.0
+    assert np.all(np.isfinite(fac.L))
+    assert np.abs(fac.L @ fac.L.T - kernel.exact_gaussian_kernel(X)).max() <= 1e-12
+
+
+def test_pivoted_cholesky_validates_inputs():
+    with pytest.raises(ValidationError, match="non-finite"):
+        kernel.pivoted_cholesky_factor(np.array([[0.0], [np.nan]]), 1e-3)
+    with pytest.raises(ValidationError, match="tol"):
+        kernel.pivoted_cholesky_factor(np.zeros((2, 1)), -1.0)
+    fac = kernel.pivoted_cholesky_factor(np.zeros((2, 1)), 0.0)
+    with pytest.raises(ValidationError, match="state"):
+        kernel.pivoted_cholesky_factor(np.zeros((3, 1)), 0.0, state=fac)
+
+
+def test_pivoted_cholesky_memory_is_linear_in_output(rng):
+    # No n x n array: at n = 4000 the peak is L's final buffer, grown a
+    # quarter at a time, plus O(n d) per column.
+    n = 4000
+    X = _scaled(rng.uniform(-1.0, 1.0, size=(n, 3)), 3.9)
+    kernel.pivoted_cholesky_factor(X[:10], 0.0)  # first-call set-up is not counted
+    fac, peak = _traced_peak(kernel.pivoted_cholesky_factor, X, 1e-4)
+    assert 0 < fac.rank < n // 4
+    assert peak <= 1.3 * fac.L.nbytes + 64 * n * X.shape[1]
+
+
+def test_pivoted_cholesky_under_a_profiler(rng):
+    # A profiler holds the bound resize method, and so a reference to the
+    # growing buffer: the factor grows past its first buffer all the same.
+    import cProfile
+    X = rng.normal(size=(300, 3))
+    profile = cProfile.Profile()
+    fac = profile.runcall(kernel.pivoted_cholesky_factor, X, 1e-8)
+    assert fac.rank > kernel._PIVOT_CAPACITY
+    assert np.array_equal(fac.L, kernel.pivoted_cholesky_factor(X, 1e-8).L)
+
+
+def test_pivoted_cholesky_refuses_over_the_byte_cap(rng, monkeypatch):
+    # At 300 rows, 64 and then 80 columns (153 600 and 192 000 bytes) fit;
+    # growing to 100 would not, and is refused before it is allocated.
+    monkeypatch.setattr(kernel, "_FACTOR_BYTES_CAP", 200_000)
+    X = rng.normal(size=(300, 3))
+    assert kernel.pivoted_cholesky_factor(X[:100], 0.0).rank == 100
+    with pytest.raises(ValidationError, match="needs 240000 bytes"):
+        kernel.pivoted_cholesky_factor(X, 1e-8)

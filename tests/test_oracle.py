@@ -160,3 +160,21 @@ def test_oracle_certifies_narrow_boxes(seed):
     assert rep.primal_residual_l1 <= 1e-10
     # the certificate recomputes Qx as U(V'x): allow its rounding
     assert oracle.certified_gap(inst, x, y) <= 1e-10 + 1e-13 * (1.0 + abs(rep.objective))
+
+
+def test_reference_stops_on_the_certificate_itself():
+    # Narrow-box seed 31 at tol 1e-10: the dense step's own gap (Q formed
+    # densely) reads <= 1e-10 a step before certified_gap (U(V'x)) does; the
+    # reference confirms the stop with the certificate's product.
+    rng = np.random.default_rng([14, 31])
+    n, m, k = (int(rng.integers(lo, hi)) for lo, hi in ((4, 25), (1, 4), (1, 4)))
+    width = 10.0 ** rng.uniform(-3, 2, size=n)
+    z = width * rng.uniform(0.2, 0.8, size=n)
+    A = rng.normal(size=(m, n))
+    G = rng.normal(size=(n, k))
+    inst = build_qp_instance(c=rng.normal(size=n), A=A, b=A @ z,
+                             blocks=[BlockDomain.box(0.0, w) for w in width],
+                             U=G, V=G)
+    x, s, y, rep = oracle.dense_solve_qp(inst, tol=1e-10)
+    assert oracle.certified_gap(inst, x, y) <= 1e-10
+    assert np.array_equal(s, inst.q_matvec(x) + inst.c + inst.A.T @ y)

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rankqp import kernel, svm
+from conftest import exact_box_qp
+from rankqp import build_qp_instance, kernel, oracle, svm
 from rankqp.exceptions import ParseError, ValidationError
 from rankqp.cli import cli_run
 from rankqp.libsvm_io import Dataset, emit_libsvm
@@ -226,46 +227,142 @@ def _traced_peak(spec):
     return rep, peak
 
 
+def _traced_reduction(spec):
+    """(factor, reduced instance, tracemalloc peak) of the first
+    pivoted-Cholesky factor training builds and the reduction that takes it."""
+    tracemalloc.start()
+    try:
+        fac = kernel.pivoted_cholesky_factor(spec.X, svm._FIRST_TRACE * 1e-4)
+        inst = reduce_to_qp(spec, fac).instance
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return fac, inst, peak
+
+
+# numpy's ufunc buffer (8192 float64) and small arrays, beside the factors
+_SMALL_BYTES = 2 ** 17
+
+
 def test_gaussian_regression_stacks_without_copies():
-    # One eps-SVR training holds the stacked [U; -U] and [V; -V] (2 x the
-    # bytes of U and V) and, while the second is written, one unstacked
-    # factor: 2.5 x, not the 3.5 x of stacking beside both unstacked ones.
-    n = 120
+    # eps-SVR's U and V are one stacked [L; -L]: the factor and the
+    # reduction hold L and that one stack, 3 x the bytes of L, plus the
+    # one-byte finiteness mask of the stack that validation takes.
+    n = 2000
     X, y = _two_clusters(n)
-    rep, peak = _traced_peak(SvmSpec(X=X, y=X[:, 0] + 0.5 * X[:, 1], variant="eps-svr",
-                                     C=5.0, eps_tube=0.05, kernel="gaussian"))
-    rank = rep["kernel_factor"]["rank"]
-    assert rank > n
-    assert peak <= 2.6 * (16 * n * rank)  # U.nbytes + V.nbytes
+    spec = SvmSpec(X=X, y=X[:, 0] + 0.5 * X[:, 1], variant="eps-svr", C=5.0,
+                   eps_tube=0.05, kernel="gaussian")
+    fac, inst, peak = _traced_reduction(spec)
+    assert inst.U is inst.V
+    assert np.array_equal(inst.U, np.vstack([fac.L, -fac.L]))
+    assert peak <= 3.5 * fac.L.nbytes + _SMALL_BYTES
 
 
 def test_gaussian_training_holds_one_factor():
-    # One Gaussian c-SVC training on the svm-gaussian-cli recipe (two
-    # clusters in 4 dimensions, squared radius 3.9, C = 5) allocates little
-    # beyond the one label-scaled U and V that its instance holds.
-    n = 120
+    # A Gaussian c-SVC on the svm-gaussian-cli recipe (two clusters in 4
+    # dimensions, squared radius 3.9, C = 5) at n = 2000: the instance's U
+    # is its V, and both are the pivoted-Cholesky L, label-scaled in place.
+    n = 2000
     X, y = _two_clusters(n)
-    rep, peak = _traced_peak(SvmSpec(X=X, y=y, variant="c-svc", C=5.0, kernel="gaussian"))
+    spec = SvmSpec(X=X, y=y, variant="c-svc", C=5.0, kernel="gaussian")
+    fac, inst, peak = _traced_reduction(spec)
+    assert inst.U is inst.V and np.shares_memory(inst.U, fac.L)
+    assert peak <= 1.5 * fac.L.nbytes + _SMALL_BYTES
+    # The whole training runs the Woodbury step, which adds its D^-1 L.
+    rep, peak = _traced_peak(spec)
     rank = rep["kernel_factor"]["rank"]
-    assert rank > n
-    assert peak <= 1.5 * (16 * n * rank)  # U.nbytes + V.nbytes
+    assert rep["backend"] == "woodbury" and rank == fac.rank
+    assert peak <= 2.5 * (8 * n * rank)
 
 
-def test_kernel_eps_clamp_is_reported():
-    # At C = 1e4 the factor's target eps_solve / (n R^2) falls below the
-    # 1e-12 floor; the report gives both the target and the applied value.
+def test_certificate_is_reported():
+    # At C = 1e4 the report's certificate, the certified gap plus
+    # tr(E) ||beta||^2 / 2, is within eps_solve; the linear kernel is exact,
+    # so its certificate is the certified gap.
     X = np.array([[0.0, 0.0], [0.3, 0.1], [1.0, 1.0], [0.9, 1.2]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
-    rep = train(SvmSpec(X=X, y=y, variant="c-svc", C=1e4, kernel="gaussian"),
-                eps_solve=1e-4).solve_report
-    assert rep["kernel_eps_target"] == pytest.approx(1e-4 / (4 * 1e8 * 4))
-    assert rep["kernel_eps"] == 1e-12
+    mdl = train(SvmSpec(X=X, y=y, variant="c-svc", C=1e4, kernel="gaussian"),
+                eps_solve=1e-4)
+    rep = mdl.solve_report
     factor = rep["kernel_factor"]
-    assert factor["sup_error"] + factor["prune_slack"] <= 1e-12
-    assert factor["degree"] >= 1 and factor["rank"] >= 1
+    assert set(factor) == {"method", "rank", "trace_residual", "extensions"}
+    assert factor["method"] == "pivoted-cholesky" and 1 <= factor["rank"] <= 4
+    beta = mdl.alpha * y
+    assert rep["certificate"] == pytest.approx(
+        rep["duality_gap"] + 0.5 * factor["trace_residual"] * float(beta @ beta),
+        rel=1e-12, abs=0.0)
+    assert rep["duality_gap"] <= rep["certificate"] <= 1e-4
+    assert not {"kernel_eps", "kernel_eps_target"} & set(rep)
     rep = train(SvmSpec(X=X, y=y, variant="c-svc", C=1.0), eps_solve=1e-4).solve_report
-    assert rep["kernel_eps"] is None and rep["kernel_eps_target"] is None
+    assert rep["certificate"] == rep["duality_gap"] <= 1e-4
     assert rep["kernel_factor"] is None
+
+
+def _variant_data(variant, n, seed):
+    """A Gaussian spec of each variant on n points drawn uniformly from
+    [-1.5, 1.5]^2 (squared diameter about 17), so that the first factor
+    stops below full rank."""
+    rng = np.random.default_rng([seed, n])
+    X = rng.uniform(-1.5, 1.5, size=(n, 2))
+    # labels by a line, with noise except for the hard margin
+    noise = 0.0 if variant == "hard" else 0.3
+    signs = np.where(X[:, 0] + 0.5 * X[:, 1] + noise * rng.normal(size=n) >= 0, 1.0, -1.0)
+    signs[:2] = [1.0, -1.0]
+    targets = np.sin(2.0 * X[:, 0]) + 0.1 * rng.normal(size=n)
+    y = {"one-class": None, "eps-svr": targets, "nu-svr": targets}.get(variant, signs)
+    return SvmSpec(X=X, y=y, variant=variant, kernel="gaussian", C=5.0, nu=0.3,
+                   eps_tube=0.05)
+
+
+def _exact_kernel_instance(spec, inst):
+    """The reduced program of spec with the exact kernel as a dense Q."""
+    K = kernel.exact_gaussian_kernel(spec.X)
+    if spec.variant in svm.CLASSIFICATION:
+        Q = K * np.outer(spec.y, spec.y)
+    elif spec.variant == "one-class":
+        Q = K
+    else:
+        Q = np.block([[K, -K], [-K, K]])
+    return build_qp_instance(c=inst.c, A=inst.A, b=inst.b, blocks=inst.blocks, Q=Q)
+
+
+@pytest.mark.parametrize("n", [4, 120])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_certificate_bounds_the_exact_kernel_objective(variant, n):
+    # f_K(alpha) - OPT_K <= certificate <= eps_solve for the exact kernel K.
+    # OPT_K is exact (enumeration) for at most 8 coordinates, else the dense
+    # reference's, certified to 1e-10.
+    eps_solve = 1e-4
+    spec = _variant_data(variant, n, seed=3)
+    mdl = train(spec, eps_solve=eps_solve)
+    rep = mdl.solve_report
+    assert rep["certificate"] <= eps_solve
+    red = reduce_to_qp(spec, kernel.pivoted_cholesky_factor(spec.X, 0.0))
+    exact = _exact_kernel_instance(spec, red.instance)
+    if exact.n <= 8:
+        opt, tol = exact_box_qp(exact), 1e-9
+    else:
+        opt, tol = oracle.dense_solve_qp(exact, tol=1e-10)[3].objective, 1e-8
+    assert exact.objective(mdl.alpha) - opt <= rep["certificate"] + tol
+    # the reported dual is the factored objective, within the kernel term
+    sign = -1.0 if red.maximization else 1.0
+    assert abs(sign * mdl.dual_objective - exact.objective(mdl.alpha)) <= rep["certificate"]
+
+
+def test_large_coefficients_extend_the_factor():
+    # Separable labels at C = 1e4: alpha reaches about 20, ||beta||^2 is
+    # large, and the first factor's tr(E) ||beta||^2 / 2 cannot fit in
+    # eps_solve.  The same factor is extended, and the certificate holds.
+    spec = _variant_data("hard", 120, seed=0)
+    spec = SvmSpec(X=spec.X, y=spec.y, variant="c-svc", kernel="gaussian", C=1e4)
+    mdl = train(spec, eps_solve=1e-4)
+    rep = mdl.solve_report
+    assert rep["kernel_factor"]["extensions"] >= 1
+    assert rep["certificate"] <= 1e-4
+    red = reduce_to_qp(spec, kernel.pivoted_cholesky_factor(spec.X, 0.0))
+    exact = _exact_kernel_instance(spec, red.instance)
+    opt = oracle.dense_solve_qp(exact, tol=1e-10)[3].objective
+    assert exact.objective(mdl.alpha) - opt <= rep["certificate"] + 1e-8 * (1.0 + abs(opt))
 
 
 def test_linear_c_svc_iterations_at_n_10k():
@@ -393,21 +490,24 @@ def test_nu_svr_runs(rng):
 
 
 def test_gaussian_error_chain(rng):
-    # |objective(alpha; Q) - objective(alpha; Qtilde)| <= eps1 n ||alpha||_2^2
+    # 0 <= objective(alpha; Q) - objective(alpha; Q_L) <= tr(E) ||alpha||^2 / 2
+    # for the factor L that training reports and E = K - LL'.  Greedy pivots
+    # make it the first columns of the complete factor, extension or not.
     n = 60
     X = rng.normal(size=(n, 3)) * 0.4
     y = np.sign(rng.normal(size=n))
     y[y == 0] = 1.0
     spec = SvmSpec(X=X, y=y, variant="c-svc", C=1.0, kernel="gaussian")
     mdl = train(spec, eps_solve=1e-3)
-    eps1 = mdl.solve_report["kernel_eps"]
+    factor = mdl.solve_report["kernel_factor"]
+    L = kernel.pivoted_cholesky_factor(X, 0.0).L[:, :factor["rank"]]
+    assert n - np.sum(L * L) == pytest.approx(factor["trace_residual"], rel=1e-6, abs=1e-14)
     K = kernel.exact_gaussian_kernel(X)
     Q = K * np.outer(y, y)
-    fact = kernel.gaussian_lowrank_factor(X, eps1)
-    Qt = fact.U @ fact.V.T * np.outer(y, y)
+    Ql = L @ L.T * np.outer(y, y)
     a = mdl.alpha
-    diff = abs(0.5 * a @ (Q @ a) - 0.5 * a @ (Qt @ a))
-    assert diff <= 0.5 * eps1 * n * float(a @ a) + 1e-14
+    diff = 0.5 * a @ (Q @ a) - 0.5 * a @ (Ql @ a)
+    assert -1e-14 <= diff <= 0.5 * factor["trace_residual"] * float(a @ a) + 1e-14
 
 
 def test_one_class_covers_inliers(rng):
