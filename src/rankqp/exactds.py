@@ -24,14 +24,25 @@ from . import barrier
 from .exceptions import SolverError
 
 _Z_CLAMP = 350.0  # keep cosh^2 finite; valid runs stay far below this
+# Entries of one row block of W = (tH)^{-1/2} U (1 MiB of float64).
+_W_BLOCK_ENTRIES = 1 << 17
 
 
 def woodbury_factor(h_diag, U, V, t):
     """Factor B = UV' + tH once, for diagonal positive H; returns rhs -> B^{-1} rhs.
 
-    (UV' + tH)^{-1} = t^{-1}H^{-1} - t^{-2}H^{-1}U (I + t^{-1}V'H^{-1}U)^{-1} V'H^{-1},
-    so one LU of the k x k capacitance serves every right-hand side, and no
-    n x n matrix is formed.  rhs may be a vector or a matrix of columns.
+    With S = (tH)^{-1},
+
+        (UV' + tH)^{-1} = S - SU (I + V'SU)^{-1} V'S,
+
+    so one factor of the k x k capacitance serves every right-hand side, and
+    no n x n matrix is formed.  A shared factor (V is U) makes it
+    C = I + W'W, W = S^{1/2}U, symmetric positive definite: it is summed
+    over row blocks of W, so no n x k array is held beside U, and factored
+    by Cholesky; an apply is s o r - s o (U C^{-1} U'(s o r)).  A distinct V
+    keeps the LU factor of I + V'SU, since UV' need not be symmetric.  A
+    non-finite capacitance or solve raises SolverError.  rhs may be a
+    vector or a matrix of columns.
     """
     scale = 1.0 / (t * np.asarray(h_diag, dtype=float))
 
@@ -41,20 +52,54 @@ def woodbury_factor(h_diag, U, V, t):
 
     if U is None or U.size == 0:
         return scaled
-    HiU = scale[:, None] * U
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = scipy.linalg.lu_factor(np.eye(U.shape[1]) + V.T @ HiU)
+    if V is U:
+        cho = _shared_capacitance(scale, U)
+        solve_cap = lambda rhs: scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+        expand = lambda sol: scaled(U @ sol)
+    else:
+        HiU = scale[:, None] * U
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(np.eye(U.shape[1]) + V.T @ HiU)
+        solve_cap = lambda rhs: scipy.linalg.lu_solve(lu, rhs)
+        expand = lambda sol: HiU @ sol
 
     def apply(rhs):
         base = scaled(rhs)
         with np.errstate(all="ignore"):
-            sol = scipy.linalg.lu_solve(lu, V.T @ base)
+            sol = solve_cap(V.T @ base)
         if not np.all(np.isfinite(sol)):
-            raise SolverError("singular Woodbury capacitance matrix")
-        return base - HiU @ sol
+            raise SolverError("Woodbury capacitance solve is not finite "
+                              "(singular capacitance matrix)")
+        return base - expand(sol)
 
     return apply
+
+
+def _shared_capacitance(scale, U):
+    """Cholesky factor of C = I + W'W, W = S^{1/2}U: its upper triangle is
+    accumulated in place by one BLAS syrk per row block of W."""
+    n, k = U.shape
+    root = np.sqrt(scale)
+    cap = np.eye(k, order="F")
+    step = max(1, _W_BLOCK_ENTRIES // k)
+    syrk = scipy.linalg.blas.dsyrk
+    with np.errstate(all="ignore"):
+        for i in range(0, n, step):
+            Wb = root[i:i + step, None] * U[i:i + step]
+            # W_b'W_b from whichever of W_b, W_b' is column-major, so BLAS
+            # reads the block without a copy.
+            if Wb.flags.f_contiguous:
+                cap = syrk(1.0, Wb, beta=1.0, c=cap, trans=1, overwrite_c=1)
+            else:
+                cap = syrk(1.0, Wb.T, beta=1.0, c=cap, trans=0, overwrite_c=1)
+    if not np.all(np.isfinite(cap)):
+        raise SolverError("Woodbury capacitance matrix is not finite")
+    try:
+        return scipy.linalg.cho_factor(cap, check_finite=False)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise SolverError("Woodbury capacitance matrix not numerically "
+                          "positive definite") from exc
 
 
 def woodbury_apply(h_diag, U, V, t, rhs):

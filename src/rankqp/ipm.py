@@ -150,10 +150,11 @@ def factor_newton(inst: model.QPInstance, d, backend, counts=None):
 
         B dx + A'dy = r,   A dx = r_p
 
-    through the Schur complement S = A B^-1 A'.  "dense" forms B and takes
-    its Cholesky factor (LU if B is not numerically positive definite);
-    "woodbury" keeps Q = UV' factored and applies B^-1 through the k x k
-    capacitance, never forming an n x n matrix.  A ridged solve with S is
+    through the Schur complement S = A B^-1 A'.  "dense" adds d to the
+    diagonal of a copy of Q and takes its Cholesky factor (LU if B is not
+    numerically positive definite); "woodbury" keeps Q = UV' factored and
+    applies B^-1 through the k x k capacitance (exactds.woodbury_factor),
+    never forming an n x n matrix.  A ridged solve with S is
     counted in ``counts["ridge_uses"]`` (see _solve_normal).  A non-finite d
     raises SolverError.
     """
@@ -161,7 +162,8 @@ def factor_newton(inst: model.QPInstance, d, backend, counts=None):
         raise SolverError("Newton matrix diagonal is not finite: an iterate "
                           "reached a box wall in floating point")
     if backend == "dense":
-        B = inst.q_dense() + np.diag(d)
+        B = inst.q_dense().copy()
+        B.flat[::inst.n + 1] += d
         try:
             binv = functools.partial(scipy.linalg.cho_solve, scipy.linalg.cho_factor(B))
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
@@ -364,7 +366,10 @@ def solve(inst: model.QPInstance, eps, backend="auto", seed=0):
     instance itself until the measured duality gap is at most that budget
     and ||b - Ax||_1 at most 3 eps (R ||A||_1 + ||b||_1), both in the
     instance's own units.  backend "auto" takes the Woodbury step when
-    Q = UV' is thin (4(k + m) <= n), dense otherwise.  backend "lowrank"
+    Q = UV' is given and 10(k + m) <= 7n, dense otherwise; at n = 300,
+    1000 and 2000 one iteration's CPU (the factor and three applies, one
+    BLAS thread) is about even near k = 0.7n, and the Woodbury step's is
+    under half the dense one's at k = n/2.  backend "lowrank"
     augments for the initial point, follows the central path from t = 1 to
     t = eps^2/(4 kappa) through ``cpm.centering_lowrank`` (seed draws its
     sketches) and restricts the result.  The returned multipliers satisfy
@@ -380,7 +385,7 @@ def solve(inst: model.QPInstance, eps, backend="auto", seed=0):
     budget = eps * inst.L * inst.R * (inst.R + 1.0)
     if backend == "auto":
         backend = ("woodbury" if inst.U is not None
-                   and 4 * (inst.k + inst.m) <= inst.n else "dense")
+                   and 10 * (inst.k + inst.m) <= 7 * inst.n else "dense")
     if backend != "lowrank":
         resid_bound = 3.0 * eps * (inst.R * float(np.abs(inst.A).sum())
                                    + float(np.abs(inst.b).sum()))

@@ -250,6 +250,8 @@ def train(spec: SvmSpec, eps_solve=1e-4):
     its term fits in half the room the next solve leaves, and the program
     is solved again.  The report's "kernel_factor" gives the method, the
     rank, tr(E) and the number of extensions (None for the linear kernel).
+    A hard margin whose alpha reaches the cap raises ValidationError: the
+    data are not separable by a hard margin at that cap.
     """
     gaussian = spec.kernel == "gaussian"
     factor = (kernel.pivoted_cholesky_factor(spec.X, _FIRST_TRACE * eps_solve)
@@ -274,6 +276,15 @@ def train(spec: SvmSpec, eps_solve=1e-4):
         factor = kernel.pivoted_cholesky_factor(spec.X, room / beta_sq, state=factor)
         extensions += 1
     alpha = sol.x
+    if spec.variant == "hard":
+        # An alpha at the cap (within _SUPPORT_REL of it, the scale at which
+        # ``support`` calls a coordinate active) makes this a soft margin.
+        cap, _ = dual_box(spec)
+        at_cap = int(np.count_nonzero(alpha >= (1.0 - _SUPPORT_REL) * cap))
+        if at_cap:
+            raise ValidationError(
+                f"data not separable by a hard margin at cap {cap:g}: {at_cap} "
+                f"of {alpha.size} alpha reach the cap; train c-svc, or raise the cap")
     dual_obj = inst.objective(alpha)
     if red.maximization:
         dual_obj = -dual_obj

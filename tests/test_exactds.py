@@ -40,18 +40,50 @@ def test_woodbury_scalar_case():
     assert out[0] == pytest.approx(1.5)
 
 
-def test_woodbury_vs_dense_inverse(rng):
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+def test_woodbury_vs_dense_inverse(rng, shared):
+    # A shared factor takes the Cholesky capacitance; a distinct V = UM, with
+    # M symmetric positive definite so that UV' is PSD, takes the LU one.
     for _ in range(100):
         n, k = 100, 8
         h = rng.uniform(0.5, 3.0, size=n)
         U = rng.normal(size=(n, k))
-        V = U @ rng.normal(size=(k, k))
-        V = U  # PSD well-conditioned case
+        if shared:
+            V = U
+        else:
+            G = rng.normal(size=(k, k))
+            V = U @ (G @ G.T / k + np.eye(k))
         t = float(rng.uniform(0.2, 2.0))
         rhs = rng.normal(size=n)
         dense = np.linalg.solve(U @ V.T + t * np.diag(h), rhs)
         wood = woodbury_apply(h, U, V, t, rhs)
         assert np.abs(dense - wood).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+
+
+def test_woodbury_cholesky_wide_diagonal(rng):
+    # h spread over 1e-8 ... 1e12, as near a box wall late in a solve, with
+    # W spanning two row blocks.  The Woodbury formula itself loses digits at
+    # this spread (both capacitances read about 1e-5 relative residual, a
+    # dense Cholesky of B about 1e-7); the Cholesky one is no worse than LU.
+    n, k = 1200, 150
+    h = 10.0 ** rng.uniform(-8, 12, size=n)
+    U = rng.normal(size=(n, k))
+    rhs = rng.normal(size=(n, 3))
+
+    def rel_residual(x):
+        return np.linalg.norm(U @ (U.T @ x) + h[:, None] * x - rhs) / np.linalg.norm(rhs)
+
+    chol = rel_residual(woodbury_apply(h, U, U, 1.0, rhs))
+    lu = rel_residual(woodbury_apply(h, U, U.copy(), 1.0, rhs))
+    assert chol <= 1e-4
+    assert chol <= 2.0 * lu
+
+
+def test_woodbury_cholesky_non_finite_raises():
+    # W'W overflows: the capacitance is infinite, and the step must not go on.
+    U = np.full((3, 2), 1e200)
+    with pytest.raises(SolverError, match="not finite"):
+        woodbury_apply(np.ones(3), U, U, 1.0, np.ones(3))
 
 
 def test_woodbury_singular_capacitance():

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rankqp import barrier, build_qp_instance, ipm, model
 from rankqp.barrier import BlockDomain
@@ -327,7 +329,7 @@ def test_solve_iteration_budget(rng):
                                           ("lowrank", "lowrank")])
 def test_returned_triple_is_stationary(rng, backend, step):
     # solve returns y with Qx + c + A'y = s; kkt_residuals measures exactly that.
-    # At n = 20, k = 3, m = 2, auto takes the Woodbury step (4(k + m) <= n + 1).
+    # At n = 20, k = 3, m = 2, auto takes the Woodbury step (10(k + m) <= 7n).
     from rankqp import oracle
     inst = random_lowrank_instance(rng, n=20, k=3, m=2)
     sol = ipm.solve(inst, 1e-3, backend=backend)
@@ -393,6 +395,53 @@ def test_degenerate_equality_rows_count_ridge(rng, backend, second):
     _, _, _, two_row = oracle.dense_solve_qp(inst, tol=1e-9)
     assert abs(two_row.objective - ref.objective) <= 1e-8
     assert abs(sol.report["objective"] - two_row.objective) <= sol.report["error_budget"]
+
+
+def test_dense_newton_matrix_is_q_plus_diagonal(rng, monkeypatch):
+    # The dense step adds d to a copy of Q's diagonal; the matrix it factors
+    # is Q + diag(d) bit for bit.
+    inst = random_lowrank_instance(rng, n=50, k=20, m=1)
+    d = 10.0 ** rng.uniform(-6, 6, size=50)
+    seen = []
+    factor = scipy.linalg.cho_factor
+
+    def record(B, *args, **kwargs):
+        seen.append(np.array(B))
+        return factor(B, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", record)
+    ipm.factor_newton(inst, d, "dense")
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], inst.q_dense() + np.diag(d))
+
+
+def test_dense_newton_factor_memory(rng):
+    # At n = 1000 the dense factor holds B and the copy cho_factor factors,
+    # plus cho_factor's n x n boolean finiteness check, and no diag(d).
+    n = 1000
+    inst = random_lowrank_instance(rng, n=n, k=n, m=1)
+    inst.q_dense()
+    d = rng.uniform(0.5, 2.0, size=n)
+    ipm.factor_newton(inst, d, "dense")  # scipy's lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        ipm.factor_newton(inst, d, "dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n + n * n + 2 ** 17
+
+
+@pytest.mark.parametrize("n,k,m,step", [(300, 150, 1, "woodbury"), (100, 69, 1, "woodbury"),
+                                        (100, 70, 1, "dense"), (40, 40, 2, "dense"),
+                                        (30, 45, 1, "dense")])
+def test_auto_crossover(rng, n, k, m, step):
+    # auto takes the Woodbury step while 10(k + m) <= 7n, dense beyond, and
+    # always dense once k >= n.
+    inst = random_lowrank_instance(rng, n=n, k=k, m=m)
+    sol = ipm.solve(inst, 1e-3)
+    assert sol.report["backend"] == step
+    assert sol.report["duality_gap"] <= sol.report["error_budget"]
 
 
 @pytest.mark.parametrize("seed", [53, 92, 209])

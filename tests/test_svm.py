@@ -268,11 +268,23 @@ def test_gaussian_training_holds_one_factor():
     fac, inst, peak = _traced_reduction(spec)
     assert inst.U is inst.V and np.shares_memory(inst.U, fac.L)
     assert peak <= 1.5 * fac.L.nbytes + _SMALL_BYTES
-    # The whole training runs the Woodbury step, which adds its D^-1 L.
+    # The whole training runs the Woodbury step, whose capacitance is built
+    # from row blocks of D^-1/2 L: no second n x rank array is held.
     rep, peak = _traced_peak(spec)
     rank = rep["kernel_factor"]["rank"]
     assert rep["backend"] == "woodbury" and rank == fac.rank
-    assert peak <= 2.5 * (8 * n * rank)
+    assert peak <= 1.8 * (8 * n * rank)
+
+
+def test_gaussian_recipe_takes_the_woodbury_step():
+    # At n = 300 the factor's rank is about n/2, below auto's crossover
+    # 10(k + m) <= 7n, and the certificate still holds.
+    X, y = _two_clusters(300)
+    rep = train(SvmSpec(X=X, y=y, variant="c-svc", C=5.0, kernel="gaussian"),
+                eps_solve=1e-4).solve_report
+    assert rep["backend"] == "woodbury"
+    assert rep["kernel_factor"]["rank"] < 0.7 * 300
+    assert rep["certificate"] <= 1e-4
 
 
 def test_certificate_is_reported():
@@ -363,6 +375,30 @@ def test_large_coefficients_extend_the_factor():
     exact = _exact_kernel_instance(spec, red.instance)
     opt = oracle.dense_solve_qp(exact, tol=1e-10)[3].objective
     assert exact.objective(mdl.alpha) - opt <= rep["certificate"] + 1e-8 * (1.0 + abs(opt))
+
+
+def _overlapping_classes():
+    """200 points in 2 dimensions, N(0, I) shifted by 0.3 y: not separable."""
+    rng = np.random.default_rng(0)
+    y = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+    return rng.normal(size=(200, 2)) + 0.3 * y[:, None], y
+
+
+@pytest.mark.parametrize("kern", ["linear", "gaussian"])
+def test_hard_margin_refuses_inseparable_data(kern):
+    # Most alpha reach the default cap 10n: a soft margin, which train refuses.
+    X, y = _overlapping_classes()
+    with pytest.raises(ValidationError, match=r"not separable by a hard margin at cap "
+                                              r"2000: \d+ of 200 alpha reach the cap"):
+        train(SvmSpec(X=X, y=y, variant="hard", kernel=kern))
+
+
+def test_hard_margin_refusal_exits_2(tmp_path, capsys):
+    X, y = _overlapping_classes()
+    path = tmp_path / "overlap.svm"
+    emit_libsvm(Dataset.from_dense(X, y), path)
+    assert cli_run(["train-svm", str(path), "--variant", "hard"]) == 2
+    assert "not separable by a hard margin" in capsys.readouterr().err
 
 
 def test_linear_c_svc_iterations_at_n_10k():
